@@ -27,7 +27,7 @@ import numpy as np
 from . import hilbert as hl
 from . import syntax as sx
 from .errors import BudgetExceeded, ProofError
-from .semantics import QuantumModel, StarBudget, successors
+from .semantics import QuantumModel, StarBudget, orbit
 from .signature import (Morphism, SignatureInstance, classify_in, diagram_eq,
                         diagram_residual, eval_term)
 from .syntax import (AComp, ASym, AStar, AUnion, And, At, Imp, Nec, Origin,
@@ -92,10 +92,9 @@ def proof_nodes(t: ProofTree):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the prover: node count, star bounds, universe depth."""
+    """Caps for the prover: node count and star bounds."""
     max_nodes: int = 10 ** 6
     star: StarBudget = StarBudget()
-    depth: int = 6
 
 
 # --------------------------------------------------------------- the kernel
@@ -116,32 +115,6 @@ def _star_action(a: sx.Action, n: int) -> sx.Action:
 
 def _star_power(a: sx.Action, n: int, body: sx.Sentence) -> sx.Sentence:
     return body if n == 0 else Nec(_star_action(a, n), body)
-
-
-def _orbit(sig: SignatureInstance, action: sx.Action, w: np.ndarray,
-           budget: StarBudget) -> tuple[list[np.ndarray], int, bool]:
-    """Layers of the successor orbit: (states seen, expansion rounds, closed)."""
-    model = QuantumModel(sig, {})
-    seen = [w]
-    frontier = [w]
-    for i in range(1, budget.max_iterations + 1):
-        fresh: list[np.ndarray] = []
-        complete = True
-        for v in frontier:
-            step = successors(model, action, v, budget)
-            complete = complete and step.complete
-            for s in step.vectors:
-                bound = budget.tol * max(1.0, hl.norm(s))
-                if all(hl.norm(s - o) > bound for o in seen) and \
-                        all(hl.norm(s - o) > bound for o in fresh):
-                    fresh.append(s)
-        if not complete:
-            return seen, i, False
-        if not fresh:
-            return seen, i - 1, True
-        seen.extend(fresh)
-        frontier = fresh
-    return seen, budget.max_iterations, False
 
 
 def check_proof(sig: SignatureInstance, tree: ProofTree,
@@ -381,7 +354,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, AStar)):
             return _bad(path, "StarE: premise is not a star necessity")
         n = t.certificate
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # bool is an int subclass, not a number
             return _bad(path, "StarE: certificate must be a natural number")
         if not same_context(prem[0]) or p.k != k or \
                 goal != _star_power(p.goal.action.body, n, p.goal.body):
@@ -390,14 +363,15 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not (isinstance(goal, Nec) and isinstance(goal.action, AStar)):
             return _bad(path, "StarI: goal is not a star necessity")
         m = t.certificate
-        if not isinstance(m, int) or m < 0 or len(prem) != m + 1:
+        if type(m) is not int or m < 0 or len(prem) != m + 1:
             return _bad(path, "StarI: certificate does not match the premise count")
         body_action = goal.action.body
         for i, p in enumerate(prem):
             want = _star_power(body_action, i, goal.body)
             if not same_context(p) or p.conclusion.k != k or p.conclusion.goal != want:
                 return _bad(path, f"StarI: premise {i} is not the {i}-fold unrolling")
-        _, period, closed = _orbit(sig, body_action, eval_term(sig, k), budget)
+        _, period, closed = orbit(QuantumModel(sig, {}), body_action,
+                                  eval_term(sig, k), budget, verdict_only=True)
         if not closed:
             return _bad(path, "StarI: successor orbit does not close within budget")
         if period > m:
@@ -498,8 +472,10 @@ class _Saturation:
         self.gamma = gamma
         self.budget = budget
         self.counter = counter
-        self.class_vecs: list[np.ndarray] = []
+        self.class_vecs = hl.VectorTable(sig.dim, sig.tol)
         self.class_terms: list[sx.Term] = []
+        # exact: a term's vector is fixed and the table only appends
+        self.class_of: dict[sx.Term, int] = {}
         self.facts: dict[tuple[sx.Sentence, int], ProofTree] = {}
         self.universal: dict[sx.Sentence, object] = {}  # sentence -> builder(k)
         self.imps: list[tuple[sx.Sentence, object]] = []  # (imp, builder | tree)
@@ -514,13 +490,15 @@ class _Saturation:
 
     # -- class table ------------------------------------------------------
     def intern(self, term: sx.Term) -> int:
-        vec = eval_term(self.sig, term)
-        for i, existing in enumerate(self.class_vecs):
-            if hl.norm(vec - existing) <= self.sig.tol * max(1.0, hl.norm(existing)):
-                return i
-        self.class_vecs.append(vec)
-        self.class_terms.append(term)
-        return len(self.class_vecs) - 1
+        cid = self.class_of.get(term)
+        if cid is None:
+            vec = eval_term(self.sig, term)
+            cid = self.class_vecs.find(vec)
+            if cid < 0:
+                cid = self.class_vecs.add(vec)
+                self.class_terms.append(term)
+            self.class_of[term] = cid
+        return cid
 
     def register_site(self, term: sx.Term) -> None:
         """Make a ground term (and its subterms) an instantiation site."""
@@ -674,7 +652,7 @@ class _Saturation:
             self.span_dirty.discard(r)
             entries = [(cid, proof) for (s, cid), proof in self.facts.items()
                        if isinstance(s, Prop) and s.name == r]
-            vecs = [self.class_vecs[cid] for cid, _ in entries]
+            vecs = [self.class_vecs.rows[cid] for cid, _ in entries]
             if vecs:
                 basis = hl.orthonormalize(vecs, dim=self.sig.dim, tol=self.sig.tol)
             else:
@@ -824,7 +802,8 @@ class _Prover:
             if not sx.is_ground(k):
                 return None
             w = eval_term(self.sig, k)
-            _, period, closed = _orbit(self.sig, a.body, w, self.budget.star)
+            _, period, closed = orbit(QuantumModel(self.sig, {}), a.body, w,
+                                      self.budget.star, verdict_only=True)
             if not closed:
                 self.star_exhausted = True
                 return None
@@ -883,7 +862,7 @@ class _Prover:
         target = eval_term(self.sig, k)
         if not hl.member(basis, target, self.sig.tol):
             return None
-        fact_matrix = np.array([sat.class_vecs[cid] for cid, _ in entries])
+        fact_matrix = sat.class_vecs.rows[[cid for cid, _ in entries]]
         premises = []
         for row in basis.basis:
             coeffs, *_ = np.linalg.lstsq(fact_matrix.T, row, rcond=None)
@@ -969,7 +948,7 @@ class ProofSession:
         kernel-checkable proof.
         """
         sat = self._prover.saturation(self.gamma)
-        return [sat.class_vecs[cid] for (s, cid) in sat.facts
+        return [sat.class_vecs.rows[cid] for (s, cid) in sat.facts
                 if isinstance(s, Prop) and s.name == p]
 
     def prove(self, k: sx.Term, goal: sx.Sentence) -> ProveResult:

@@ -3,7 +3,8 @@
 Exit codes: 0 every selected goal proved; 1 at least one goal definitely
 not provable; 2 some goal undetermined within budget (and none failed);
 64 usage errors; 65 malformed or invalid input data; 66 unreadable input
-file; 70 internal error (an emitted proof failed its own kernel check).
+file; 70 internal error (an emitted proof failed its own kernel check, or
+any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ class RunFlags:
     def search_budget(self) -> SearchBudget:
         return SearchBudget(
             max_nodes=self.budget,
-            star=StarBudget(max_iterations=self.star_bound, tol=self.tolerance),
-            depth=self.depth)
+            star=StarBudget(max_iterations=self.star_bound, tol=self.tolerance))
 
 
 @dataclass
@@ -197,6 +197,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else EXIT_USAGE
+    try:
+        return _run(args, out)
+    except Exception as e:  # every failure must end in a documented exit code
+        print(f"internal error: {type(e).__name__}: {e}", file=out)
+        return EXIT_INTERNAL
+
+
+def _run(args: argparse.Namespace, out) -> int:
     flags = RunFlags(tolerance=args.tolerance, star_bound=args.star_bound,
                      depth=args.depth, budget=args.budget, format=args.format)
 

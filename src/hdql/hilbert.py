@@ -2,8 +2,8 @@
 
 Vectors and operators are plain numpy arrays (complex128); subspaces are
 stored as orthonormal bases. The inner product is conjugate-linear in the
-first argument. All equality is tolerance-based, scaled by operand norms;
-the single global default is ``DEFAULT_TOL``.
+first argument. All equality is tolerance-based: v matches a stored or
+reference vector e when |v - e| <= tol * max(1, |e|) (default ``DEFAULT_TOL``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ DEFAULT_TOL = 1e-9
 
 __all__ = [
     "DEFAULT_TOL", "Subspace", "vector", "operator", "inner", "norm",
-    "vec_eq", "zero_subspace", "full_space", "orthonormalize",
+    "vec_eq", "VectorTable", "zero_subspace", "full_space", "orthonormalize",
     "orthocomplement", "project", "projector", "member", "direct_sum",
     "intersect", "apply_measurement", "is_unitary", "tensor", "tensor_op",
     "basis_state", "ket", "H", "X", "Y", "Z", "CNOT", "identity",
@@ -62,9 +62,44 @@ def norm(v: np.ndarray) -> float:
 
 
 def vec_eq(v: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Tolerance equality: distance at most tol * max(1, |v|)."""
+    """Tolerance equality with v as the reference: |v - w| <= tol * max(1, |v|)."""
     _same_dim(v, w)
     return norm(v - w) <= tol * max(1.0, norm(v))
+
+
+class VectorTable:
+    """Vectors in insertion order (``rows``) in one (capacity, dim) array that
+    doubles when full, beside each row's squared bound (tol * max(1, |e|))^2:
+    a tolerance lookup is one vectorized distance computation."""
+
+    def __init__(self, dim: int, tol: float = DEFAULT_TOL, vectors=()):
+        self.dim, self.tol = dim, tol
+        self._rows = np.empty((8, dim), dtype=complex)
+        self._bounds = np.empty(8)
+        self.rows = self._rows[:0]
+        for v in vectors:
+            self.add(v)
+
+    def find(self, v: np.ndarray) -> int:
+        """Index of the first stored row that v matches, or -1."""
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"vector of shape {v.shape} in a table of dim {self.dim}")
+        d = (self.rows - v).view(float)
+        hits = np.flatnonzero(np.einsum("ij,ij->i", d, d) <= self._bounds[:len(d)])
+        return int(hits[0]) if hits.size else -1
+
+    def add(self, v: np.ndarray) -> int:
+        """Append v as the last row and return its index."""
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"vector of shape {v.shape} in a table of dim {self.dim}")
+        n = len(self.rows)
+        if n == len(self._bounds):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._bounds = np.concatenate([self._bounds, np.empty_like(self._bounds)])
+        self._rows[n] = v
+        self._bounds[n] = (self.tol * max(1.0, norm(v))) ** 2
+        self.rows = self._rows[:n + 1]
+        return n
 
 
 @dataclass(frozen=True, eq=False)

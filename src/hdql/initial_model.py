@@ -20,7 +20,7 @@ from . import syntax as sx
 from .calculus import ProofSession, ProveResult, SearchBudget
 from .errors import PreconditionFailure, ProofError, SemanticsError
 from .semantics import FiniteVectors, QuantumModel, global_sat, sat_at
-from .signature import SignatureInstance, eval_term, validate
+from .signature import SignatureInstance, apply_symbol, eval_term, validate
 
 __all__ = ["InitialModel", "build_initial", "generate_universe"]
 
@@ -32,33 +32,28 @@ def generate_universe(sig: SignatureInstance, gamma, depth: int,
     Terms evaluating to an already-seen vector are dropped; returns the
     representative terms and whether the cap truncated the closure.
     """
-    vecs: list[np.ndarray] = []
+    table = hl.VectorTable(sig.dim, sig.tol)
     terms: list[sx.Term] = []
+    # frontier entries carry their vector: a candidate s(t) costs one step
+    frontier: list[tuple[sx.Term, np.ndarray]] = []
 
-    def intern(term: sx.Term) -> bool:
-        v = eval_term(sig, term)
-        for e in vecs:
-            if hl.norm(v - e) <= sig.tol * max(1.0, hl.norm(e)):
-                return False
-        vecs.append(v)
-        terms.append(term)
-        return True
+    def intern(term: sx.Term, v: np.ndarray, into: list) -> None:
+        if table.find(v) < 0:
+            table.add(v)
+            terms.append(term)
+            into.append((term, v))
 
-    frontier: list[sx.Term] = []
     seeds = [sx.Origin()]
     for c in gamma:
         seeds.extend(t for t in sx.sentence_terms(c) if sx.is_ground(t))
     for t in seeds:
-        if intern(t):
-            frontier.append(t)
+        intern(t, eval_term(sig, t), frontier)
     syms = sorted(sig.unitaries) + sorted(sig.measurements)
     for _ in range(depth):
-        new: list[sx.Term] = []
-        for t in frontier:
+        new: list[tuple[sx.Term, np.ndarray]] = []
+        for t, v in frontier:
             for s in syms:
-                candidate = sx.TApp(s, t)
-                if intern(candidate):
-                    new.append(candidate)
+                intern(sx.TApp(s, t), apply_symbol(sig, s, v), new)
                 if len(terms) >= max_terms:
                     return terms, True
         if not new:
@@ -104,26 +99,21 @@ def build_initial(sig: SignatureInstance, gamma, depth: int = 6,
     derived: dict[tuple[str, sx.Term], str] = {}
     valuation = {}
     for p in sorted(sig.props):
-        provable: list[np.ndarray] = []
-
-        def note(v: np.ndarray) -> None:
-            if all(hl.norm(v - e) > sig.tol * max(1.0, hl.norm(e))
-                   for e in provable):
-                provable.append(v)
-
+        held = []
         for t in universe:
-            status = session.prove(t, sx.Prop(p)).status
-            derived[(p, t)] = status
-            if status == "holds":
-                note(eval_term(sig, t))
+            derived[(p, t)] = session.prove(t, sx.Prop(p)).status
+            if derived[(p, t)] == "holds":
+                held.append(eval_term(sig, t))
         # guard elimination derives facts past the universe boundary; they
         # are provable, so they belong to the region
-        for v in session.prop_fact_vectors(p):
-            note(v)
+        provable = hl.VectorTable(sig.dim, sig.tol)
+        for v in held + session.prop_fact_vectors(p):
+            if provable.find(v) < 0:
+                provable.add(v)
         if p in sig.closed_props:
-            valuation[p] = hl.orthonormalize(provable, dim=sig.dim, tol=sig.tol)
+            valuation[p] = hl.orthonormalize(provable.rows, dim=sig.dim, tol=sig.tol)
         else:
-            valuation[p] = FiniteVectors(tuple(provable))
+            valuation[p] = FiniteVectors(tuple(provable.rows))
     model = QuantumModel(sig, valuation)
     im = InitialModel(sig, gamma, universe, truncated, model, session)
     im.derived.update(derived)

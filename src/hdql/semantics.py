@@ -19,11 +19,11 @@ from . import hilbert as hl
 from . import syntax as sx
 from .errors import BudgetExceeded, DimensionMismatch, SemanticsError
 from .hilbert import DEFAULT_TOL, Subspace
-from .signature import Morphism, SignatureInstance, classify_in, eval_term
+from .signature import Morphism, SignatureInstance, apply_symbol, classify_in, eval_term
 
 __all__ = [
     "FiniteVectors", "Region", "QuantumModel", "StarBudget", "SuccessorSet",
-    "successors", "sat_at", "closed_extension", "global_sat", "reduct",
+    "successors", "orbit", "sat_at", "closed_extension", "global_sat", "reduct",
     "star_fixpoint", "region_member", "validate_model",
 ]
 
@@ -85,8 +85,7 @@ def _region(model: QuantumModel, p: str) -> Region:
 def region_member(region: Region, w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(region, Subspace):
         return hl.member(region, w, tol)
-    bound = tol * max(1.0, hl.norm(w))
-    return any(hl.norm(w - v) <= bound for v in region.vectors)
+    return hl.VectorTable(w.shape[0], tol, region.vectors).find(w) >= 0
 
 
 # ---------------------------------------------------------------- actions
@@ -104,12 +103,7 @@ def successors(model: QuantumModel, a: sx.Action, w: np.ndarray,
     if w.shape[0] != sig.dim:
         raise DimensionMismatch(f"state of dim {w.shape[0]} in space of dim {sig.dim}")
     if isinstance(a, sx.ASym):
-        if a.name in sig.unitaries:
-            return SuccessorSet([sig.unitaries[a.name] @ w])
-        if a.name in sig.measurements:
-            return SuccessorSet(
-                [hl.apply_measurement(sig.measurements[a.name], w, tol=sig.tol)])
-        raise SemanticsError(f"unknown action symbol {a.name!r}")
+        return SuccessorSet([apply_symbol(sig, a.name, w)])
     if isinstance(a, sx.AComp):
         first = successors(model, a.left, w, budget)
         out, complete = [], first.complete
@@ -124,26 +118,32 @@ def successors(model: QuantumModel, a: sx.Action, w: np.ndarray,
         return SuccessorSet(left.vectors + right.vectors,
                             left.complete and right.complete)
     if isinstance(a, sx.AStar):
-        orbit: list[np.ndarray] = [w]
-        frontier = [w]
-        complete = False
-        closed_early = True
-        for _ in range(budget.max_iterations):
-            fresh: list[np.ndarray] = []
-            for v in frontier:
-                step = successors(model, a.body, v, budget)
-                closed_early = closed_early and step.complete
-                for s in step.vectors:
-                    bound = budget.tol * max(1.0, hl.norm(s))
-                    if all(hl.norm(s - o) > bound for o in orbit + fresh):
-                        fresh.append(s)
-            if not fresh:
-                complete = closed_early
-                break
-            orbit.extend(fresh)
-            frontier = fresh
-        return SuccessorSet(orbit, complete)
+        states, _, complete = orbit(model, a.body, w, budget)
+        return SuccessorSet(states, complete)
     raise TypeError(f"not an action: {a!r}")
+
+
+def orbit(model: QuantumModel, action: sx.Action, w: np.ndarray,
+          budget: StarBudget = StarBudget(),
+          verdict_only: bool = False) -> tuple[list[np.ndarray], int, bool]:
+    """(states reachable from w by repeating the action, rounds that found
+    fresh states, whether the orbit closed). Exploration goes on past an
+    incomplete inner step, so every state within the budget is listed, unless
+    verdict_only: then it ends there, as the orbit can no longer close."""
+    seen = hl.VectorTable(model.sig.dim, budget.tol, [w])
+    start, complete = 0, True
+    for rounds in range(budget.max_iterations):
+        end = len(seen.rows)
+        for v in seen.rows[start:end]:
+            step = successors(model, action, v, budget)
+            complete = complete and step.complete
+            for s in step.vectors:
+                if seen.find(s) < 0:
+                    seen.add(s)
+        if len(seen.rows) == end or (verdict_only and not complete):
+            return list(seen.rows), rounds, complete
+        start = end
+    return list(seen.rows), budget.max_iterations, False
 
 
 def _has_star(a: sx.Action) -> bool:
@@ -268,7 +268,7 @@ def _sat(model: QuantumModel, w: np.ndarray, s: sx.Sentence,
     if isinstance(s, sx.Prop):
         return region_member(_region(model, s.name), w, sig.tol)
     if isinstance(s, sx.Here):
-        return hl.norm(w - eval_term(sig, s.term)) <= sig.tol * max(1.0, hl.norm(w))
+        return hl.vec_eq(eval_term(sig, s.term), w, sig.tol)
     if isinstance(s, sx.At):
         return _sat(model, eval_term(sig, s.term), s.body, budget)
     if isinstance(s, sx.And):

@@ -20,7 +20,7 @@ from .hilbert import DEFAULT_TOL, Subspace
 
 __all__ = [
     "SignatureInstance", "Violation", "Morphism", "identity_morphism",
-    "eval_term", "diagram_eq", "diagram_residual", "validate",
+    "eval_term", "apply_symbol", "diagram_eq", "diagram_residual", "validate",
     "apply_morphism", "classify_in",
 ]
 
@@ -112,13 +112,17 @@ def eval_term(sig: SignatureInstance, k: sx.Term) -> np.ndarray:
     if isinstance(k, sx.TSmul):
         return k.scalar * eval_term(sig, k.arg)
     if isinstance(k, sx.TApp):
-        arg = eval_term(sig, k.arg)
-        if k.sym in sig.unitaries:
-            return sig.unitaries[k.sym] @ arg
-        if k.sym in sig.measurements:
-            return hl.apply_measurement(sig.measurements[k.sym], arg, tol=sig.tol)
-        raise SymbolError(f"unknown operation symbol {k.sym!r}")
+        return apply_symbol(sig, k.sym, eval_term(sig, k.arg))
     raise TypeError(f"not a term: {k!r}")
+
+
+def apply_symbol(sig: SignatureInstance, sym: str, v: np.ndarray) -> np.ndarray:
+    """The state the operation symbol maps v to."""
+    if sym in sig.unitaries:
+        return sig.unitaries[sym] @ v
+    if sym in sig.measurements:
+        return hl.apply_measurement(sig.measurements[sym], v, tol=sig.tol)
+    raise SymbolError(f"unknown operation symbol {sym!r}")
 
 
 def diagram_residual(sig: SignatureInstance, k1: sx.Term, k2: sx.Term) -> float:

@@ -449,8 +449,11 @@ def trace_from_json(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
             raise HdqlError(f"unknown rule {obj['rule']!r}")
         conclusion = Sequent(ctx, sx.parse_term(obj["term"]),
                              sx.parse_sentence(obj["goal"]))
+        cert = obj.get("certificate")
+        if cert is not None and type(cert) is not int:
+            raise HdqlError(f"certificate {cert!r} is not a whole number")
         child_ctx = _child_gamma(rule, conclusion)
         premises = tuple(node(p, child_ctx) for p in obj["premises"])
-        return ProofTree(conclusion, rule, premises, obj.get("certificate"))
+        return ProofTree(conclusion, rule, premises, cert)
 
     return gamma, node(doc["proof"], gamma)

@@ -285,6 +285,22 @@ class TestKernelRejections:
         res = check_proof(sig, bad)
         assert not res.ok and "orbit" in res.reason
 
+    @pytest.mark.parametrize("rule, gamma, k, goal", [
+        (RuleId.STAR_I_BOUNDED, [parse("@(v0) p"), parse("@(v1) p")], "v0", "[x*] p"),
+        (RuleId.STAR_E, [parse("[x*] p")], "x(x(v0))", "p"),
+    ])
+    def test_star_certificates_refuse_booleans(self, rule, gamma, k, goal):
+        # bool is an int subclass, so True would pass for the certificate 1
+        sig = qubit_sig()
+        tree = prove(sig, gamma, parse_term(k), parse(goal)).tree
+        assert check_proof(sig, tree).ok
+
+        def boolify(t):
+            cert = bool(t.certificate) if t.rule is rule else t.certificate
+            return ProofTree(t.conclusion, t.rule, tuple(map(boolify, t.premises)), cert)
+        res = check_proof(sig, boolify(tree))
+        assert not res.ok and rule.value in res.reason
+
     def test_failure_reports_node_path(self):
         sig = qubit_sig()
         gamma = (Prop("p"), Prop("q"))

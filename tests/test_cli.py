@@ -86,6 +86,22 @@ class TestCheck:
         assert code == 2
         assert "unknown" in output
 
+    def test_boolean_certificate_in_json_trace_exits_65(self, tmp_path):
+        text = ("SPACE 2\nVECTORS\n  v0 = (1, 0)\n  v1 = (0, 1)\nUNITARY\n"
+                "  g = X\nPROPS\n  r closed\nAXIOMS\n  @(v0) r\n  @(v1) r\n"
+                "GOAL AT v0 PROVE [g*] r\n")
+        path = tmp_path / "star.hdql"
+        path.write_text(text)
+        trace = tmp_path / "proof.json"
+        code, _ = run(["check", str(path), "--format", "json", "--trace", str(trace)])
+        assert code == 0
+        doc = trace.read_text()
+        assert '"certificate": 1' in doc
+        trace.write_text(doc.replace('"certificate": 1', '"certificate": true'))
+        code, output = run(["recheck", str(path), str(trace)])
+        assert code == 65
+        assert "malformed trace" in output
+
     def test_json_trace_format(self, tmp_path):
         path = tmp_path / "small.hdql"
         path.write_text(SMALL)
@@ -182,6 +198,20 @@ class TestErrorPaths:
     def test_usage_error_exits_64(self):
         code, _ = run(["check"])  # missing the spec file argument
         assert code == 64
+
+    def test_unexpected_exception_exits_70_without_traceback(self, tmp_path):
+        # a 700-step chain exceeds Python's recursion limit; an uncaught
+        # exception would exit 1, which claims "definitely not provable"
+        chain = ";".join(["s1"] * 700)
+        path = tmp_path / "deep.hdql"
+        path.write_text(teleport_spec_text(0.6, 0.8)
+                        + f"GOAL AT w0 PROVE [{chain}] p\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "hdql", "check", str(path), "--goal", "2"],
+            capture_output=True, text=True)
+        assert result.returncode == 70, result.stdout + result.stderr
+        assert result.stdout.startswith("internal error: RecursionError")
+        assert "Traceback" not in result.stdout + result.stderr
 
     def test_validation_error_echoes_residual(self, tmp_path):
         path = tmp_path / "bad.hdql"

@@ -202,3 +202,51 @@ class TestSubspaceLaws:
             assert hl.is_unitary(u, tol=1e-9)
             v, w = hl.random_state(dim, rng), hl.random_state(dim, rng)
             assert abs(hl.inner(u @ v, u @ w) - hl.inner(v, w)) < 1e-9
+
+
+class TestVectorTable:
+    def test_empty_table_finds_nothing(self):
+        assert hl.VectorTable(2).find(K0) == -1
+
+    def test_first_match_in_insertion_order_wins(self):
+        table = hl.VectorTable(2, tol=1e-6)
+        table.add(K1)
+        first = table.add(K0 + 4e-7)
+        table.add(K0 - 4e-7)
+        # both stored near-copies of K0 lie within tolerance of it
+        assert table.find(K0) == first == 1
+
+    def test_bound_scales_with_the_stored_norm(self):
+        tol = 1e-6
+        for scale in (0.5, 1.0, 3.0):
+            e = scale * K0
+            table = hl.VectorTable(2, tol=tol, vectors=[e])
+            bound = tol * max(1.0, scale)
+            assert table.find(e + 0.9 * bound * K1) == 0
+            assert table.find(e + 1.1 * bound * K1) == -1
+
+    def test_growth_keeps_every_row(self):
+        table = hl.VectorTable(3)
+        vecs = [hl.vector([i, 1j * i, 1]) for i in range(50)]
+        for i, v in enumerate(vecs):
+            assert table.add(v) == i
+        assert all(table.find(v) == i for i, v in enumerate(vecs))
+        assert np.array_equal(table.rows, np.array(vecs))
+
+    def test_agrees_with_a_reference_loop(self):
+        rng = np.random.default_rng(29)
+        tol = 0.3
+        stored = [hl.random_state(2, rng) * rng.uniform(0.5, 2.0) for _ in range(40)]
+        table = hl.VectorTable(2, tol=tol, vectors=stored)
+        for _ in range(100):
+            v = hl.random_state(2, rng)
+            want = next((i for i, e in enumerate(stored)
+                         if hl.norm(v - e) <= tol * max(1.0, hl.norm(e))), -1)
+            assert table.find(v) == want
+
+    def test_wrong_dimension_raises(self):
+        table = hl.VectorTable(2, vectors=[K0])
+        with pytest.raises(DimensionMismatch):
+            table.find(hl.basis_state(3, 0))
+        with pytest.raises(DimensionMismatch):
+            table.add(hl.basis_state(3, 0))
