@@ -378,50 +378,32 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
             return _bad(path,
                         f"StarI: orbit closes after {period} rounds but only "
                         f"{m} are certified")
-    elif rule is RuleId.MP:
-        if bad := arity(2):
+    elif rule in (RuleId.MP, RuleId.MP_C, RuleId.IMP, RuleId.IMP_C):
+        # the classical and quantum forms differ only in the implication
+        # class and in the antecedent having to be closed as well as basic
+        quantum = rule in (RuleId.MP_C, RuleId.IMP_C)
+        imp, q, closed = (QImp, "quantum ", "closed ") if quantum else (Imp, "", "")
+        elim = rule in (RuleId.MP, RuleId.MP_C)
+        if bad := arity(2 if elim else 1):
             return bad
-        p1, p2 = prem[0].conclusion, prem[1].conclusion
-        if not (isinstance(p1.goal, Imp) and p1.goal.right == goal
-                and p1.goal.left == p2.goal
-                and same_context(prem[0]) and same_context(prem[1])
-                and p1.k == k and p2.k == k):
-            return _bad(path, "MP: premises do not instantiate modus ponens")
-        if not classify_in(sig, p1.goal.left).is_basic:
-            return _bad(path, "MP: antecedent is not a basic sentence")
-    elif rule is RuleId.MP_C:
-        if bad := arity(2):
-            return bad
-        p1, p2 = prem[0].conclusion, prem[1].conclusion
-        if not (isinstance(p1.goal, QImp) and p1.goal.right == goal
-                and p1.goal.left == p2.goal
-                and same_context(prem[0]) and same_context(prem[1])
-                and p1.k == k and p2.k == k):
-            return _bad(path, "MPc: premises do not instantiate quantum modus ponens")
-        kind = classify_in(sig, p1.goal.left)
-        if not (kind.is_basic and kind.is_closed):
-            return _bad(path, "MPc: antecedent is not a closed basic sentence")
-    elif rule is RuleId.IMP:
-        if bad := arity(1):
-            return bad
-        if not isinstance(goal, Imp):
-            return _bad(path, "Imp: goal is not an implication")
-        if not classify_in(sig, goal.left).is_basic:
-            return _bad(path, "Imp: antecedent is not a basic sentence")
         p = prem[0].conclusion
-        if p.gamma != gamma + (At(k, goal.left),) or p.k != k or p.goal != goal.right:
-            return _bad(path, "Imp: premise context is not the extended clause set")
-    elif rule is RuleId.IMP_C:
-        if bad := arity(1):
-            return bad
-        if not isinstance(goal, QImp):
-            return _bad(path, "ImpC: goal is not a quantum implication")
-        kind = classify_in(sig, goal.left)
-        if not (kind.is_basic and kind.is_closed):
-            return _bad(path, "ImpC: antecedent is not a closed basic sentence")
-        p = prem[0].conclusion
-        if p.gamma != gamma + (At(k, goal.left),) or p.k != k or p.goal != goal.right:
-            return _bad(path, "ImpC: premise context is not the extended clause set")
+        if elim:
+            p2 = prem[1].conclusion
+            if not (isinstance(p.goal, imp) and p.goal.right == goal
+                    and p.goal.left == p2.goal
+                    and same_context(prem[0]) and same_context(prem[1])
+                    and p.k == k and p2.k == k):
+                return _bad(path, f"{rule.value}: premises do not instantiate "
+                                  f"{q}modus ponens")
+        elif not isinstance(goal, imp):
+            return _bad(path, f"{rule.value}: goal is not a {q}implication")
+        kind = classify_in(sig, (p.goal if elim else goal).left)
+        if not (kind.is_basic and (kind.is_closed or not quantum)):
+            return _bad(path, f"{rule.value}: antecedent is not a {closed}basic sentence")
+        if not elim and (p.gamma != gamma + (At(k, goal.left),) or p.k != k
+                         or p.goal != goal.right):
+            return _bad(path, f"{rule.value}: premise context is not the extended "
+                              "clause set")
     else:  # pragma: no cover - the enum is exhaustive
         return _bad(path, f"unknown rule {rule!r}")
 
@@ -481,7 +463,8 @@ class _Saturation:
         self.imps: list[tuple[sx.Sentence, object]] = []  # (imp, builder | tree)
         self.queue: list[tuple] = []
         self.fired: set[tuple[int, int]] = set()
-        self.sites: list[int] = []  # class ids acting as instantiation sites
+        # class ids acting as instantiation sites, in registration order
+        self.sites: dict[int, None] = {}
         self.span_dirty: set[str] = set()
         self.spans: dict[str, tuple] = {}  # r -> (basis rows, combos)
         self.incomplete = False
@@ -505,7 +488,7 @@ class _Saturation:
         for sub in sx.subterms(term):
             cid = self.intern(sub)
             if cid not in self.sites:
-                self.sites.append(cid)
+                self.sites[cid] = None
                 for s, builder in list(self.universal.items()):
                     self.queue.append(("inst", s, builder, self.class_terms[cid]))
 
@@ -710,23 +693,26 @@ class _Prover:
             changed = False
             for idx, (imp, _) in enumerate(list(sat.imps)):
                 for cid in list(sat.sites):
-                    if (idx, cid) in sat.fired:
-                        continue
-                    self.counter.spend()
-                    k = sat.class_terms[cid]
-                    avail = sat.availability(idx, k)
-                    if avail is None:
-                        continue
-                    ante = self.prove(gamma, k, imp.left, allow_mp=False)
-                    if ante is None:
-                        continue
-                    sat.fired.add((idx, cid))
-                    rule = RuleId.MP if isinstance(imp, Imp) else RuleId.MP_C
-                    node = ProofTree(Sequent(gamma, k, imp.right), rule,
-                                     (avail, ante))
-                    sat.add_fact(imp.right, k, node)
-                    changed = True
+                    changed |= self._fire(gamma, sat, idx, imp, sat.class_terms[cid], cid)
             sat.drain()
+
+    def _fire(self, gamma, sat: _Saturation, idx: int, imp: sx.Sentence,
+              k: sx.Term, cid: int) -> bool:
+        """Modus ponens with implication idx at term k (of class cid), once."""
+        if (idx, cid) in sat.fired:
+            return False
+        self.counter.spend()
+        avail = sat.availability(idx, k)
+        if avail is None:
+            return False
+        ante = self.prove(gamma, k, imp.left, allow_mp=False)
+        if ante is None:
+            return False
+        sat.fired.add((idx, cid))
+        rule = RuleId.MP if isinstance(imp, Imp) else RuleId.MP_C
+        sat.add_fact(imp.right, k, ProofTree(Sequent(gamma, k, imp.right), rule,
+                                             (avail, ante)))
+        return True
 
     def prove(self, gamma: tuple[sx.Sentence, ...], k: sx.Term,
               goal: sx.Sentence, allow_mp: bool = True) -> ProofTree | None:
@@ -757,20 +743,12 @@ class _Prover:
             return ProofTree(Sequent(gamma, k, goal), RuleId.STORE_I, (inner,))
         if isinstance(goal, Nec):
             return self._prove_nec(gamma, k, goal, allow_mp)
-        if isinstance(goal, Imp):
-            hyp = At(k, goal.left)
-            extended = gamma + (hyp,)
-            inner = self.prove(extended, k, goal.right, allow_mp)
+        if isinstance(goal, (Imp, QImp)):
+            inner = self.prove(gamma + (At(k, goal.left),), k, goal.right, allow_mp)
             if inner is None:
                 return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.IMP, (inner,))
-        if isinstance(goal, QImp):
-            hyp = At(k, goal.left)
-            extended = gamma + (hyp,)
-            inner = self.prove(extended, k, goal.right, allow_mp)
-            if inner is None:
-                return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.IMP_C, (inner,))
+            rule = RuleId.IMP if isinstance(goal, Imp) else RuleId.IMP_C
+            return ProofTree(Sequent(gamma, k, goal), rule, (inner,))
         if isinstance(goal, Prop):
             return self._prove_prop(gamma, sat, k, goal, allow_mp)
         return None
@@ -889,21 +867,7 @@ class _Prover:
         cid = sat.intern(k)
         progressed = False
         for idx, (imp, _) in enumerate(list(sat.imps)):
-            if (idx, cid) in sat.fired:
-                continue
-            self.counter.spend()
-            antecedent, consequent = imp.left, imp.right
-            rule = RuleId.MP if isinstance(imp, Imp) else RuleId.MP_C
-            avail = sat.availability(idx, k)
-            if avail is None:
-                continue
-            ante = self.prove(gamma, k, antecedent, allow_mp=False)
-            if ante is None:
-                continue
-            sat.fired.add((idx, cid))
-            node = ProofTree(Sequent(gamma, k, consequent), rule, (avail, ante))
-            sat.add_fact(consequent, k, node)
-            progressed = True
+            progressed |= self._fire(gamma, sat, idx, imp, k, cid)
         if progressed:
             sat.drain()
             return self._lookup_fact(sat, k, goal)

@@ -1,5 +1,10 @@
 """Batch front end: check goals, evaluate sentences, re-check traces.
 
+``recheck`` certifies the statement as well as the derivation: the trace's
+clause set must be a subset of the file's AXIOMS, its root must be one of
+the file's GOALs (equal sentences after desugaring, diagram-equal terms),
+and the kernel must accept every node.
+
 Exit codes: 0 every selected goal proved; 1 at least one goal definitely
 not provable; 2 some goal undetermined within budget (and none failed);
 64 usage errors; 65 malformed or invalid input data; 66 unreadable input
@@ -18,9 +23,10 @@ from .calculus import ProofSession, SearchBudget, check_proof, proof_nodes
 from .errors import BudgetExceeded, HdqlError, ParseError, SemanticsError
 from .hilbert import DEFAULT_TOL
 from .semantics import StarBudget, closed_extension, sat_at
-from .signature import classify_in, eval_term
-from .specfile import (LoadedSpec, SpecLoadError, load_spec, serialize_trace,
-                       trace_to_json, valuation_model)
+from .signature import classify_in, diagram_eq, eval_term
+from .specfile import (LoadedSpec, SpecLoadError, deserialize_trace, load_spec,
+                       serialize_trace, trace_from_json, trace_to_json,
+                       valuation_model)
 
 __all__ = ["RunFlags", "run_check", "run_eval", "main"]
 
@@ -86,8 +92,6 @@ def run_eval(spec: LoadedSpec, state_term: sx.Term, sentence: sx.Sentence,
         w = eval_term(spec.sig, state_term)
         star = StarBudget(max_iterations=flags.star_bound, tol=flags.tolerance)
         verdict = sat_at(model, w, sentence, star)
-    except SemanticsError as e:
-        return EXIT_DATA, f"cannot evaluate: {e}"
     except BudgetExceeded as e:
         return EXIT_UNKNOWN, f"budget exhausted: {e}"
     except HdqlError as e:
@@ -190,6 +194,23 @@ def _load(path: str, flags: RunFlags, out) -> LoadedSpec | int:
         return EXIT_DATA
 
 
+def _statement_problem(spec: LoadedSpec, gamma, tree) -> str | None:
+    """Why the trace proves no GOAL from (a subset of) the AXIOMS, if so."""
+    axioms = {sx.desugar(a) for a in spec.axioms}
+    for c in gamma:
+        if c not in axioms:
+            return f"clause {sx.format_sentence(c)} is not among the AXIOMS"
+    k, goal = tree.conclusion.k, sx.desugar(tree.conclusion.goal)
+    try:
+        if any(sx.desugar(s) == goal and diagram_eq(spec.sig, t, k)
+               for t, s in spec.goals):
+            return None
+    except HdqlError as e:  # e.g. an undeclared name in the root term
+        return f"root term {sx.format_term(k)}: {e}"
+    return (f"the root {sx.format_sentence(goal)} at {sx.format_term(k)} "
+            "is no GOAL of the file")
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser = _build_parser()
@@ -251,7 +272,6 @@ def _run(args: argparse.Namespace, out) -> int:
         return _run_initial(spec, flags, out)
 
     # recheck: deserialize a trace and run the kernel in this process
-    from .specfile import deserialize_trace, trace_from_json
     try:
         with open(args.tracefile, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -260,12 +280,16 @@ def _run(args: argparse.Namespace, out) -> int:
         return EXIT_NOINPUT
     try:
         if text.lstrip().startswith("{"):
-            _, tree = trace_from_json(text)
+            gamma, tree = trace_from_json(text)
         else:
-            _, tree = deserialize_trace(text)
-    except (HdqlError, ParseError) as e:
+            gamma, tree = deserialize_trace(text)
+    except HdqlError as e:
         print(f"malformed trace: {e}", file=out)
         return EXIT_DATA
+    problem = _statement_problem(spec, gamma, tree)
+    if problem is not None:
+        print(f"trace rejected: {problem}", file=out)
+        return EXIT_FAILS
     verdict = check_proof(spec.sig, tree, flags.search_budget().star)
     if verdict.ok:
         print("trace checks", file=out)

@@ -244,9 +244,7 @@ def _reject_nonclosed_quantum_ops(sig: SignatureInstance, s: sx.Sentence) -> Non
     elif isinstance(s, (sx.And, sx.Imp)):
         _reject_nonclosed_quantum_ops(sig, s.left)
         _reject_nonclosed_quantum_ops(sig, s.right)
-    elif isinstance(s, (sx.Not, sx.Nec, sx.Store)):
-        _reject_nonclosed_quantum_ops(sig, s.body)
-    elif isinstance(s, sx.At):
+    elif isinstance(s, (sx.Not, sx.Nec, sx.Store, sx.At)):
         _reject_nonclosed_quantum_ops(sig, s.body)
 
 
@@ -277,18 +275,11 @@ def _sat(model: QuantumModel, w: np.ndarray, s: sx.Sentence,
         return not _sat(model, w, s.body, budget)
     if isinstance(s, sx.Imp):
         return (not _sat(model, w, s.left, budget)) or _sat(model, w, s.right, budget)
+    # sat_at has already rejected ~ and ~> over non-closed sentences
     if isinstance(s, sx.QNot):
-        if not classify_in(sig, s.body).is_closed:
-            raise SemanticsError(
-                "quantum negation of a non-closed sentence is not "
-                f"subspace-representable: {sx.format_sentence(s.body)}")
         ext = _ext(model, s.body, budget)
         return hl.member(hl.orthocomplement(ext), w, sig.tol)
     if isinstance(s, sx.QImp):
-        if not classify_in(sig, s).is_closed:
-            raise SemanticsError(
-                "Sasaki hook between non-closed sentences: "
-                f"{sx.format_sentence(s)}")
         return hl.member(_ext(model, s, budget), w, sig.tol)
     if isinstance(s, sx.Store):
         lit = sx.VecLit(tuple(complex(c) for c in w))
@@ -322,7 +313,7 @@ def global_sat(model: QuantumModel, s: sx.Sentence,
     if classify_in(model.sig, s).is_closed:
         return _ext(model, s, budget).rank == model.sig.dim
     if isinstance(s, sx.At):
-        return _sat(model, eval_term(model.sig, s.term), s.body, budget)
+        return sat_at(model, eval_term(model.sig, s.term), s.body, budget)
     if isinstance(s, sx.And):
         return global_sat(model, s.left, budget) and global_sat(model, s.right, budget)
     raise SemanticsError(

@@ -24,10 +24,15 @@ A problem file is a sequence of keyword sections::
 start a line. Proof traces serialize to a line-oriented indented tree, one
 node per line (``rule | term | sentence`` with an optional certificate
 suffix), or to a JSON mirror of the same fields; both round-trip exactly.
+Both formats are thin layers over one walk of pre-order node records, and
+one decoder rebuilds the tree from them, parsing each distinct term and
+sentence text once. JSON traces are written compact on one line; indented
+JSON is still read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -334,38 +339,100 @@ def valuation_model(spec: LoadedSpec) -> QuantumModel:
 
 
 # ----------------------------------------------------------- trace formats
+#
+# Both formats are thin layers over one record walk. A record is one proof
+# node in pre-order: (depth, rule, term text, sentence text, certificate).
 
-def _node_line(node: ProofTree, depth: int) -> str:
-    line = (f"{node.rule.value} | {sx.format_term(node.conclusion.k)} | "
-            f"{sx.format_sentence(node.conclusion.goal)}")
-    if isinstance(node.certificate, int):
-        line += f" [n={node.certificate}]"
-    return "  " * depth + line
+def _records(tree: ProofTree):
+    """Pre-order records of a proof tree; an explicit stack, so any depth."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        cert = node.certificate
+        yield (depth, node.rule.value, sx.format_term(node.conclusion.k),
+               sx.format_sentence(node.conclusion.goal),
+               cert if isinstance(cert, int) else None)
+        stack += [(p, depth + 1) for p in reversed(node.premises)]
 
 
 def serialize_trace(gamma, tree: ProofTree) -> str:
     """Deterministic line-oriented form of a proof tree."""
-    lines = ["HDQL-TRACE 1", f"gamma {len(tuple(gamma))}"]
-    for c in gamma:
-        lines.append("  " + sx.format_sentence(c))
-    lines.append("proof")
-
-    def walk(node: ProofTree, depth: int):
-        lines.append(_node_line(node, depth))
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(tree, 0)
+    gamma = tuple(gamma)
+    lines = ["HDQL-TRACE 1", f"gamma {len(gamma)}"]
+    lines += ["  " + sx.format_sentence(c) for c in gamma] + ["proof"]
+    for depth, rule, term, goal, cert in _records(tree):
+        suffix = "" if cert is None else f" [n={cert}]"
+        lines.append(f"{'  ' * depth}{rule} | {term} | {goal}{suffix}")
     return "\n".join(lines) + "\n"
 
 
+def trace_to_json(gamma, tree: ProofTree) -> str:
+    """JSON mirror of the text trace, written compact on one line."""
+    roots: list[dict] = []
+    path: list[dict] = []  # path[d] is the latest node at depth d
+    for depth, rule, term, goal, cert in _records(tree):
+        node = {"rule": rule, "term": term, "goal": goal,
+                "certificate": cert, "premises": []}
+        del path[depth:]
+        (path[-1]["premises"] if path else roots).append(node)
+        path.append(node)
+    return json.dumps({"version": 1, "gamma": [sx.format_sentence(c) for c in gamma],
+                       "proof": roots[0]}) + "\n"
+
+
 _RULES_BY_NAME = {r.value: r for r in RuleId}
+_CERT_SUFFIX = re.compile(r"(.*) \[n=(\d+)\]")
 
 
 def _child_gamma(rule: RuleId, conclusion: Sequent) -> tuple[sx.Sentence, ...]:
-    if rule in (RuleId.IMP, RuleId.IMP_C):
-        return conclusion.gamma + (sx.At(conclusion.k, conclusion.goal.left),)
+    goal = conclusion.goal
+    if rule in (RuleId.IMP, RuleId.IMP_C) and isinstance(goal, (sx.Imp, sx.QImp)):
+        return conclusion.gamma + (sx.At(conclusion.k, goal.left),)
     return conclusion.gamma
+
+
+def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
+    """Rebuild (clause set, proof tree) from pre-order records.
+
+    Each distinct text is parsed once per decode. This is exact: parsing is
+    a pure function of the text and the ASTs are frozen, so nodes share them.
+    """
+    term, sentence = functools.cache(sx.parse_term), functools.cache(sx.parse_sentence)
+    gamma = tuple(map(sentence, gamma_texts))
+    roots: list[ProofTree] = []
+    open_: list[tuple] = []  # per depth: rule, conclusion, cert, premises, child gamma
+
+    def close() -> None:
+        rule, conclusion, cert, premises, _ = open_.pop()
+        tree = ProofTree(conclusion, rule, tuple(premises), cert)
+        (open_[-1][3] if open_ else roots).append(tree)
+
+    for n, (depth, rule_name, term_text, goal_text, cert) in enumerate(records):
+        while len(open_) > depth:
+            close()
+        if roots or depth != len(open_):
+            raise HdqlError(f"node {n}: bad indent or a second root")
+        rule = _RULES_BY_NAME.get(rule_name)
+        if rule is None:
+            raise HdqlError(f"node {n}: unknown rule {rule_name!r}")
+        conclusion = Sequent(open_[-1][4] if open_ else gamma,
+                             term(term_text), sentence(goal_text))
+        open_.append((rule, conclusion, cert, [], _child_gamma(rule, conclusion)))
+    while open_:
+        close()
+    if not roots:
+        raise HdqlError("the proof has no nodes")
+    return gamma, roots[0]
+
+
+def _text_records(rows: list[str]):
+    for raw in rows:
+        fields = [f.strip() for f in raw.strip().split(" | ", 2)]
+        if len(fields) != 3:
+            raise HdqlError(f"bad node row {raw.strip()!r}")
+        m = _CERT_SUFFIX.fullmatch(fields[2])
+        goal, cert = (m.group(1), int(m.group(2))) if m else (fields[2], None)
+        yield (len(raw) - len(raw.lstrip(" "))) // 2, fields[0], fields[1], goal, cert
 
 
 def deserialize_trace(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
@@ -373,87 +440,40 @@ def deserialize_trace(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "HDQL-TRACE 1":
         raise HdqlError("not a version-1 trace")
-    m = re.fullmatch(r"gamma (\d+)", lines[1].strip())
+    m = re.fullmatch(r"gamma (\d+)", lines[1].strip()) if len(lines) > 1 else None
     if not m:
-        raise HdqlError("malformed trace: missing gamma header")
+        raise HdqlError("missing gamma header")
     n = int(m.group(1))
-    gamma = tuple(sx.parse_sentence(lines[2 + i].strip()) for i in range(n))
-    if lines[2 + n].strip() != "proof":
-        raise HdqlError("malformed trace: missing proof marker")
-
-    rows: list[tuple[int, str]] = []
-    for raw in lines[3 + n:]:
-        if not raw.strip():
-            continue
-        indent = (len(raw) - len(raw.lstrip(" "))) // 2
-        rows.append((indent, raw.strip()))
-
-    pos = 0
-
-    def parse_node(depth: int, ctx: tuple[sx.Sentence, ...]) -> ProofTree:
-        nonlocal pos
-        indent, row = rows[pos]
-        if indent != depth:
-            raise HdqlError(f"malformed trace: bad indent at row {pos}")
-        pos += 1
-        fields = [f.strip() for f in row.split(" | ", 2)]
-        if len(fields) != 3:
-            raise HdqlError(f"malformed trace: bad node row {row!r}")
-        rule = _RULES_BY_NAME.get(fields[0])
-        if rule is None:
-            raise HdqlError(f"malformed trace: unknown rule {fields[0]!r}")
-        cert = None
-        sentence_text = fields[2]
-        m_cert = re.fullmatch(r"(.*) \[n=(\d+)\]", sentence_text)
-        if m_cert:
-            sentence_text, cert = m_cert.group(1), int(m_cert.group(2))
-        conclusion = Sequent(ctx, sx.parse_term(fields[1]),
-                             sx.parse_sentence(sentence_text))
-        premises = []
-        child_ctx = _child_gamma(rule, conclusion)
-        while pos < len(rows) and rows[pos][0] == depth + 1:
-            premises.append(parse_node(depth + 1, child_ctx))
-        return ProofTree(conclusion, rule, tuple(premises), cert)
-
-    tree = parse_node(0, gamma)
-    if pos != len(rows):
-        raise HdqlError("malformed trace: trailing rows")
-    return gamma, tree
+    if len(lines) < 3 + n or lines[2 + n].strip() != "proof":
+        raise HdqlError(f"gamma block of {n} clauses not followed by 'proof'")
+    rows = [raw for raw in lines[3 + n:] if raw.strip()]
+    return _build([c.strip() for c in lines[2:2 + n]], _text_records(rows))
 
 
-def trace_to_json(gamma, tree: ProofTree) -> str:
-    """JSON mirror of the text trace."""
-    def node(t: ProofTree):
-        return {
-            "rule": t.rule.value,
-            "term": sx.format_term(t.conclusion.k),
-            "goal": sx.format_sentence(t.conclusion.goal),
-            "certificate": t.certificate if isinstance(t.certificate, int) else None,
-            "premises": [node(p) for p in t.premises],
-        }
-    doc = {"version": 1,
-           "gamma": [sx.format_sentence(c) for c in gamma],
-           "proof": node(tree)}
-    return json.dumps(doc, indent=1) + "\n"
+def _json_records(proof):
+    stack = [(proof, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if not (isinstance(node, dict) and isinstance(node.get("premises"), list)
+                and all(isinstance(node.get(f), str) for f in ("rule", "term", "goal"))):
+            raise HdqlError(f"a proof node at depth {depth} lacks string 'rule', "
+                            "'term' and 'goal' or list 'premises'")
+        cert = node.get("certificate")
+        if cert is not None and type(cert) is not int:
+            raise HdqlError(f"certificate {cert!r} is not a whole number")
+        yield depth, node["rule"], node["term"], node["goal"], cert
+        stack += [(p, depth + 1) for p in reversed(node["premises"])]
 
 
 def trace_from_json(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
-    doc = json.loads(text)
-    if doc.get("version") != 1:
+    """Rebuild (clause set, proof tree) from the JSON mirror, compact or indented."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise HdqlError(f"invalid JSON: {e}") from None
+    if not isinstance(doc, dict) or doc.get("version") != 1:
         raise HdqlError("not a version-1 JSON trace")
-    gamma = tuple(sx.parse_sentence(c) for c in doc["gamma"])
-
-    def node(obj, ctx) -> ProofTree:
-        rule = _RULES_BY_NAME.get(obj["rule"])
-        if rule is None:
-            raise HdqlError(f"unknown rule {obj['rule']!r}")
-        conclusion = Sequent(ctx, sx.parse_term(obj["term"]),
-                             sx.parse_sentence(obj["goal"]))
-        cert = obj.get("certificate")
-        if cert is not None and type(cert) is not int:
-            raise HdqlError(f"certificate {cert!r} is not a whole number")
-        child_ctx = _child_gamma(rule, conclusion)
-        premises = tuple(node(p, child_ctx) for p in obj["premises"])
-        return ProofTree(conclusion, rule, premises, cert)
-
-    return gamma, node(doc["proof"], gamma)
+    gamma = doc.get("gamma")
+    if not isinstance(gamma, list) or not all(isinstance(c, str) for c in gamma):
+        raise HdqlError("'gamma' is not a list of sentence strings")
+    return _build(gamma, _json_records(doc.get("proof")))

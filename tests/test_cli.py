@@ -1,6 +1,7 @@
 """Front-end behaviour: exit codes, traces, evaluation reports."""
 
 import io
+import json
 import subprocess
 import sys
 
@@ -101,6 +102,53 @@ class TestCheck:
         code, output = run(["recheck", str(path), str(trace)])
         assert code == 65
         assert "malformed trace" in output
+
+    def forged(self, tmp_path, name, trace):
+        path = tmp_path / "teleport.hdql"
+        path.write_text(teleport_spec_text(0.6, 0.8))
+        (tmp_path / name).write_text(trace)
+        return run(["recheck", str(path), str(tmp_path / name)])
+
+    def test_trace_proving_a_goal_from_itself_is_rejected(self, tmp_path):
+        code, output = self.forged(tmp_path, "self.trace", (
+            "HDQL-TRACE 1\ngamma 1\n  @(w0) [u0] p\nproof\n"
+            "Monotonicity | w0 | @(w0) [u0] p\n"))
+        assert code == 1
+        assert output.startswith("trace rejected: ") and "AXIOMS" in output
+
+    def test_trace_over_an_undeclared_name_is_rejected(self, tmp_path):
+        code, output = self.forged(tmp_path, "zz.trace", (
+            "HDQL-TRACE 1\ngamma 1\n  @(zz) p\nproof\n"
+            "Monotonicity | zz | @(zz) p\n"))
+        assert code == 1
+        assert output.startswith("trace rejected: ")
+
+    def test_trace_whose_root_is_no_goal_is_rejected(self, tmp_path):
+        code, output = self.forged(tmp_path, "axiom.trace", (
+            "HDQL-TRACE 1\ngamma 1\n  @(t00) p\nproof\n"
+            "Monotonicity | t00 | @(t00) p\n"))
+        assert code == 1
+        assert output.startswith("trace rejected: ") and "GOAL" in output
+
+    def test_truncated_gamma_block_exits_65(self, tmp_path):
+        code, output = self.forged(tmp_path, "short.trace",
+                                   "HDQL-TRACE 1\ngamma 3\n  @(t00) p\n")
+        assert code == 65
+        assert output.startswith("malformed trace: ")
+
+    def test_json_node_without_term_exits_65(self, tmp_path):
+        code, output = self.forged(tmp_path, "noterm.json", json.dumps(
+            {"version": 1, "gamma": ["@(t00) p"],
+             "proof": {"rule": "Monotonicity", "goal": "@(t00) p",
+                       "certificate": None, "premises": []}}))
+        assert code == 65
+        assert output.startswith("malformed trace: ")
+
+    def test_invalid_json_exits_65(self, tmp_path):
+        code, output = self.forged(tmp_path, "broken.json",
+                                   '{"version": 1, "gamma": [')
+        assert code == 65
+        assert output.startswith("malformed trace: ")
 
     def test_json_trace_format(self, tmp_path):
         path = tmp_path / "small.hdql"

@@ -1,10 +1,16 @@
 """Problem-file loading and proof-trace wire formats."""
 
+import json
+import math
+from collections import Counter
+
 import pytest
 
 from conftest import teleport_spec_text
 
-from hdql.calculus import ProofSession, check_proof
+from hdql import syntax as sx
+from hdql.calculus import ProofSession, ProofTree, RuleId, Sequent, check_proof
+from hdql.errors import HdqlError
 from hdql.specfile import (SpecLoadError, deserialize_trace, load_spec_text,
                            serialize_trace, trace_from_json, trace_to_json,
                            valuation_model)
@@ -105,3 +111,101 @@ class TestTraceFormats:
         _, back = deserialize_trace(out)
         assert check_proof(spec.sig, back).ok
         assert "StarI" in out and "n=" in out
+
+
+def star_spec(order: int):
+    """[g*] r over a qubit rotation g of the given order; r spans the plane."""
+    c, s = math.cos(2 * math.pi / order), math.sin(2 * math.pi / order)
+    return load_spec_text(
+        "SPACE 2\nVECTORS\n  v0 = (0.6, 0.8)\n  v1 = (0.8, -0.6)\n"
+        f"UNITARY\n  g = [{c!r}, {-s!r}; {s!r}, {c!r}]\n"
+        "PROPS\n  p\n  r closed\nAXIOMS\n  @(v0) p\n  @(v0) r\n  @(v1) r\n"
+        "GOAL AT v0 PROVE [g*] r\n")
+
+
+class TestTraceCodec:
+    @pytest.fixture(scope="class")
+    def star(self):
+        spec = star_spec(12)
+        result = ProofSession(spec.sig, spec.axioms).prove(*spec.goals[0])
+        assert result.holds and result.tree.certificate == 11
+        gamma = result.tree.conclusion.gamma
+        return (spec, serialize_trace(gamma, result.tree),
+                trace_to_json(gamma, result.tree))
+
+    def test_star_proof_decodes_from_both_formats_byte_identically(self, star):
+        spec, text, doc = star
+        for gamma, back in (deserialize_trace(text), trace_from_json(doc)):
+            assert serialize_trace(gamma, back) == text
+            assert trace_to_json(gamma, back) == doc
+            assert check_proof(spec.sig, back).ok
+
+    def test_each_distinct_string_is_parsed_once(self, star, monkeypatch):
+        _, text, doc = star
+        calls = Counter()
+
+        def counting(parse):
+            def wrapped(s):
+                calls[(parse.__name__, s)] += 1
+                return parse(s)
+            return wrapped
+
+        monkeypatch.setattr(sx, "parse_term", counting(sx.parse_term))
+        monkeypatch.setattr(sx, "parse_sentence", counting(sx.parse_sentence))
+        nodes = text.count(" | ") // 2
+        for decode, trace in ((deserialize_trace, text), (trace_from_json, doc)):
+            calls.clear()
+            decode(trace)
+            assert max(calls.values()) == 1
+            assert sum(calls.values()) < nodes / 4
+
+    def test_json_trace_is_one_line(self, star):
+        _, _, doc = star
+        assert doc.endswith("\n") and doc.count("\n") == 1
+        assert '"certificate": 11' in doc
+
+    def test_indented_json_still_decodes(self, star):
+        _, _, doc = star
+        indented = json.dumps(json.loads(doc), indent=1)
+        assert trace_to_json(*trace_from_json(indented)) == doc
+
+    def test_deep_text_trace_round_trips(self):
+        gamma = (sx.At(sx.Name("v0"), sx.Prop("p")),)
+        node = Sequent(gamma, sx.Name("v0"), sx.Prop("p"))
+        tree = ProofTree(node, RuleId.MONOTONICITY)
+        for _ in range(2999):
+            tree = ProofTree(node, RuleId.EQ, (tree,))
+        text = serialize_trace(gamma, tree)
+        assert text.splitlines()[-1].startswith(" " * 2 * 2999 + "Monotonicity")
+        assert serialize_trace(*deserialize_trace(text)) == text
+
+    def test_implication_rule_on_a_non_implication_is_left_to_the_kernel(self):
+        gamma, tree = deserialize_trace(
+            "HDQL-TRACE 1\ngamma 0\nproof\nImp | v0 | p\n  Monotonicity | v0 | p\n")
+        assert tree.rule is RuleId.IMP and tree.premises[0].conclusion.gamma == gamma
+
+    @pytest.mark.parametrize("text", [
+        "HDQL-TRACE 1\ngamma 3\n  p\n",
+        "HDQL-TRACE 1\ngamma 0\nproof\n",
+        "HDQL-TRACE 1\ngamma 0\nproof\n  Monotonicity | v0 | p\n",
+        "HDQL-TRACE 1\ngamma 0\nproof\nMonotonicity | v0 | p\nEQ | v0 | p\n",
+        "HDQL-TRACE 1\ngamma 0\nproof\nNoSuchRule | v0 | p\n",
+        "HDQL-TRACE 1\ngamma 0\nproof\nMonotonicity | v0\n",
+    ])
+    def test_malformed_text_traces_raise_hdql_errors(self, text):
+        with pytest.raises(HdqlError):
+            deserialize_trace(text)
+
+    @pytest.mark.parametrize("doc", [
+        '{"version": 1, "gamma": [',
+        '[1]',
+        '{"version": 1, "gamma": "p", "proof": {}}',
+        '{"version": 1, "gamma": [], "proof": null}',
+        '{"version": 1, "gamma": [], "proof": {"rule": "Monotonicity", '
+        '"goal": "p", "premises": []}}',
+        '{"version": 1, "gamma": [], "proof": {"rule": "Monotonicity", '
+        '"term": "v0", "goal": "p", "premises": {}}}',
+    ])
+    def test_malformed_json_traces_raise_hdql_errors(self, doc):
+        with pytest.raises(HdqlError):
+            trace_from_json(doc)
