@@ -26,7 +26,7 @@ import numpy as np
 
 from . import hilbert as hl
 from . import syntax as sx
-from .errors import BudgetExceeded, ProofError
+from .errors import BudgetExceeded, HdqlError, ProofError
 from .semantics import QuantumModel, StarBudget, orbit
 from .signature import (Morphism, SignatureInstance, classify_in, diagram_eq,
                         diagram_residual, eval_term)
@@ -119,11 +119,28 @@ def _star_power(a: sx.Action, n: int, body: sx.Sentence) -> sx.Sentence:
 
 def check_proof(sig: SignatureInstance, tree: ProofTree,
                 budget: StarBudget = StarBudget()) -> CheckResult:
-    """Re-validate every node of a proof tree against its rule schema."""
-    try:
-        return _check(sig, tree, budget, ())
-    except BudgetExceeded as e:
-        return CheckResult(False, (), f"budget exceeded: {e}")
+    """Re-validate every node of a proof tree against its rule schema.
+
+    Nodes are checked in pre-order from an explicit stack, so the first bad
+    node is reported and depth is not bounded by Python's recursion limit.
+    A side condition that raises an HdqlError (an unknown name, a vector of
+    the wrong dimension, a missing premise) rejects its node.
+    """
+    stack = [(sig, tree, ())]
+    while stack:
+        sig, t, path = stack.pop()
+        try:
+            bad = _check_node(sig, t, budget, path)
+        except BudgetExceeded as e:
+            return CheckResult(False, (), f"budget exceeded: {e}")
+        except HdqlError as e:
+            bad = _bad(path, f"{t.rule.value}: {e}")
+        if bad is not None:
+            return bad
+        if t.rule is RuleId.TRANSLATION:  # the premise lives in the source signature
+            sig = t.certificate.source
+        stack += [(sig, p, path + (i,)) for i, p in reversed(list(enumerate(t.premises)))]
+    return CheckResult(True)
 
 
 def _bad(path, reason) -> CheckResult:
@@ -134,34 +151,31 @@ def _closed_prop(sig, goal) -> bool:
     return isinstance(goal, Prop) and goal.name in sig.closed_props
 
 
-def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
-           path: tuple[int, ...]) -> CheckResult:
+def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
+                path: tuple[int, ...]) -> CheckResult | None:
+    """Why one node breaks its rule schema, or None if it does not."""
     gamma, k, goal = t.conclusion.gamma, t.conclusion.k, t.conclusion.goal
     rule = t.rule
     prem = t.premises
 
-    def arity(n: int) -> CheckResult | None:
+    def arity(n: int) -> None:
         if len(prem) != n:
-            return _bad(path, f"{rule.value} expects {n} premises, got {len(prem)}")
-        return None
+            raise ProofError(f"expects {n} premises, got {len(prem)}")
 
     def same_context(p: ProofTree) -> bool:
         return p.conclusion.gamma == gamma
 
     if rule is RuleId.MONOTONICITY:
-        if bad := arity(0):
-            return bad
+        arity(0)
         if goal not in gamma:
             return _bad(path, "Monotonicity: goal is not a member of the clause set")
     elif rule is RuleId.UNIONS:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if p.goal != goal or p.k != k or not set(p.gamma) <= set(gamma):
             return _bad(path, "Unions: premise is not over a subset of the clause set")
     elif rule is RuleId.TRANSLATION:
-        if bad := arity(1):
-            return bad
+        arity(1)
         chi = t.certificate
         if not isinstance(chi, Morphism):
             return _bad(path, "Translation: certificate must be a morphism")
@@ -175,17 +189,14 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
             return _bad(path, f"Translation: {e}")
         if renamed != t.conclusion:
             return _bad(path, "Translation: conclusion is not the renamed premise")
-        return _check(chi.source, prem[0], budget, path + (0,))
     elif rule is RuleId.ORIGIN:
-        if bad := arity(0):
-            return bad
+        arity(0)
         if not _closed_prop(sig, goal):
             return _bad(path, "Origin: goal must be a closed proposition")
         if not diagram_eq(sig, k, Origin()):
             return _bad(path, "Origin: term does not denote the origin vector")
     elif rule is RuleId.MULT:
-        if bad := arity(1):
-            return bad
+        arity(1)
         if not _closed_prop(sig, goal):
             return _bad(path, "Mult: goal must be a closed proposition")
         if not isinstance(k, TSmul):
@@ -194,8 +205,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not same_context(prem[0]) or p.goal != goal or p.k != k.arg:
             return _bad(path, "Mult: premise does not match the multiplicand")
     elif rule is RuleId.ADD:
-        if bad := arity(2):
-            return bad
+        arity(2)
         if not _closed_prop(sig, goal):
             return _bad(path, "Add: goal must be a closed proposition")
         if not isinstance(k, TSum):
@@ -222,8 +232,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not hl.member(span, eval_term(sig, k), sig.tol):
             return _bad(path, "SpanClosure: conclusion vector lies outside the span")
     elif rule is RuleId.EQ:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not same_context(prem[0]) or p.goal != goal:
             return _bad(path, "EQ: premise proves a different sentence")
@@ -232,24 +241,21 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                         f"EQ: terms are not diagram-equal "
                         f"(residual {diagram_residual(sig, p.k, k):.3e})")
     elif rule is RuleId.RET_I:
-        if bad := arity(1):
-            return bad
+        arity(1)
         if not isinstance(goal, At):
             return _bad(path, "RetI: goal is not a retrieve sentence")
         p = prem[0].conclusion
         if not same_context(prem[0]) or p.k != goal.term or p.goal != goal.body:
             return _bad(path, "RetI: premise does not prove the body at the named term")
     elif rule is RuleId.RET_E:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not isinstance(p.goal, At):
             return _bad(path, "RetE: premise is not a retrieve sentence")
         if not same_context(prem[0]) or p.goal.term != k or p.goal.body != goal:
             return _bad(path, "RetE: conclusion does not move to the named term")
     elif rule is RuleId.STORE_I:
-        if bad := arity(1):
-            return bad
+        arity(1)
         if not isinstance(goal, Store):
             return _bad(path, "StoreI: goal is not a store sentence")
         p = prem[0].conclusion
@@ -257,8 +263,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not same_context(prem[0]) or p.k != k or p.goal != want:
             return _bad(path, "StoreI: premise is not the instantiated body")
     elif rule is RuleId.STORE_E:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not isinstance(p.goal, Store):
             return _bad(path, "StoreE: premise is not a store sentence")
@@ -266,8 +271,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not same_context(prem[0]) or p.k != k or goal != want:
             return _bad(path, "StoreE: conclusion is not the instantiated body")
     elif rule is RuleId.CONJ_I:
-        if bad := arity(2):
-            return bad
+        arity(2)
         if not isinstance(goal, And):
             return _bad(path, "ConjI: goal is not a conjunction")
         p1, p2 = prem[0].conclusion, prem[1].conclusion
@@ -276,16 +280,14 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 and p1.goal == goal.left and p2.goal == goal.right):
             return _bad(path, "ConjI: premises do not match the conjuncts")
     elif rule is RuleId.CONJ_E:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not isinstance(p.goal, And):
             return _bad(path, "ConjE: premise is not a conjunction")
         if not same_context(prem[0]) or p.k != k or goal not in (p.goal.left, p.goal.right):
             return _bad(path, "ConjE: conclusion is not a conjunct of the premise")
     elif rule is RuleId.FT_I:
-        if bad := arity(1):
-            return bad
+        arity(1)
         if not (isinstance(goal, Nec) and isinstance(goal.action, ASym)):
             return _bad(path, "FTI: goal is not a single-symbol necessity")
         f = goal.action.name
@@ -295,8 +297,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not same_context(prem[0]) or p.k != TApp(f, k) or p.goal != goal.body:
             return _bad(path, "FTI: premise is not the body at the advanced term")
     elif rule is RuleId.FT_E:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, ASym)):
             return _bad(path, "FTE: premise is not a single-symbol necessity")
@@ -306,8 +307,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not same_context(prem[0]) or k != TApp(f, p.k) or goal != p.goal.body:
             return _bad(path, "FTE: conclusion is not the body at the advanced term")
     elif rule is RuleId.COMP_I:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, AComp)):
             return _bad(path, "CompI: premise is not a composition necessity")
@@ -316,8 +316,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 goal != Nec(a.left, Nec(a.right, p.goal.body)):
             return _bad(path, "CompI: conclusion is not the nested form")
     elif rule is RuleId.COMP_E:
-        if bad := arity(1):
-            return bad
+        arity(1)
         if not (isinstance(goal, Nec) and isinstance(goal.action, AComp)):
             return _bad(path, "CompE: goal is not a composition necessity")
         a = goal.action
@@ -326,8 +325,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 p.goal != Nec(a.left, Nec(a.right, goal.body)):
             return _bad(path, "CompE: premise is not the nested form")
     elif rule is RuleId.UNION_I:
-        if bad := arity(2):
-            return bad
+        arity(2)
         if not (isinstance(goal, Nec) and isinstance(goal.action, AUnion)):
             return _bad(path, "UnionI: goal is not a union necessity")
         a = goal.action
@@ -338,8 +336,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 and p2.goal == Nec(a.right, goal.body)):
             return _bad(path, "UnionI: premises do not match the branches")
     elif rule is RuleId.UNION_E:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, AUnion)):
             return _bad(path, "UnionE: premise is not a union necessity")
@@ -348,8 +345,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not same_context(prem[0]) or p.k != k or goal not in wanted:
             return _bad(path, "UnionE: conclusion is not one of the branches")
     elif rule is RuleId.STAR_E:
-        if bad := arity(1):
-            return bad
+        arity(1)
         p = prem[0].conclusion
         if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, AStar)):
             return _bad(path, "StarE: premise is not a star necessity")
@@ -384,8 +380,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         quantum = rule in (RuleId.MP_C, RuleId.IMP_C)
         imp, q, closed = (QImp, "quantum ", "closed ") if quantum else (Imp, "", "")
         elim = rule in (RuleId.MP, RuleId.MP_C)
-        if bad := arity(2 if elim else 1):
-            return bad
+        arity(2 if elim else 1)
         p = prem[0].conclusion
         if elim:
             p2 = prem[1].conclusion
@@ -406,13 +401,7 @@ def _check(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                               "clause set")
     else:  # pragma: no cover - the enum is exhaustive
         return _bad(path, f"unknown rule {rule!r}")
-
-    if rule is not RuleId.TRANSLATION:
-        for i, p in enumerate(prem):
-            sub = _check(sig, p, budget, path + (i,))
-            if not sub.ok:
-                return sub
-    return CheckResult(True)
+    return None
 
 
 # --------------------------------------------------------------- the prover

@@ -15,6 +15,7 @@ any other unexpected exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -145,6 +146,7 @@ def _run_initial(spec: LoadedSpec, flags: RunFlags, out) -> int:
     return EXIT_FAILS if failed else EXIT_UNKNOWN if unknown else EXIT_PROVED
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdql",
@@ -213,9 +215,8 @@ def _statement_problem(spec: LoadedSpec, gamma, tree) -> str | None:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else EXIT_USAGE
     try:

@@ -21,13 +21,22 @@ Concrete grammar (ASCII), loosest binding first::
               | IDENT ('(' term ')')?                  constant / symbol app
 
 Complex literals are written ``a+bi`` with optional parts (``2``, ``1i``,
-``2-3i``). ``@`` binds tighter than ``/\\``; a ``store`` scope extends as
+``2-3i``, ``-i``). ``@`` binds tighter than ``/\\``; a ``store`` scope extends as
 far right as possible. Printing is deterministic (17 significant digits)
 and reparses to a structurally equal AST.
+
+A numeral is the longest run of the form ``(D|.D)[D.]*([eE][+-]?D*)?``,
+where ``D`` is a decimal digit. It must read as ``D+(.D*)?`` or ``.D+``,
+optionally followed by an exponent ``[eE][+-]?D+``; any other run, such as
+``1.2.3`` or ``1e``, is a ParseError located at its first character. A
+numeral directly followed by ``i`` (and not by a letter, digit, ``_`` or
+``'``) is imaginary. Blanks are spaces, tabs, carriage returns and
+newlines; ``#`` starts a comment that runs to the end of the line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -217,139 +226,115 @@ Sentence = (Prop | Here | At | And | Not | QNot | Nec | Pos | Store
 
 
 # ---------------------------------------------------------------- lexer
+#
+# A token is a (kind, text, offset) tuple. Its kind is IDENT, NUM, IMAG (the
+# numeral before an imaginary 'i'), EOF or the punctuation text itself.
 
-_PUNCT = ["/\\", "=>", "~>", "(+)", "[", "]", "<", ">", "(", ")", "{", "}",
-          ".", ",", ";", "|", "*", "+", "-", "@", "!", "~", "="]
 _KEYWORDS = {"store", "here", "until", "vec", "span"}
+# what float() reads: digits with at most one '.', then an exponent with digits;
+# with no exponent, the numeral must not run on into '.', a digit or 'e'
+_NUMERAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|(?![\d.eE]))"
+_TOKEN = re.compile(rf"""
+    [ \t\r\n]+ | \#[^\n]*                     # blanks and comments
+  | (?P<NUM>{_NUMERAL})(?P<IMAG>i(?![\w']))?
+  | (?P<BAD>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d*)?) # any other numeral run
+  | (?P<IDENT>[A-Za-z_][\w']*)
+  | (?P<UNI>[^\W\d][\w']*)                    # non-ASCII start: checked below
+  | (?P<P>/\\|=>|~>|\(\+\)|[][<>(){{}}.,;|*+\-@!~=])
+  | (?P<ERR>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # IDENT, NUM, IMAG, punct literal, EOF
-    text: str
-    line: int
-    col: int
+def _error(text: str, message: str, offset: int) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                j = k
-            num = text[i:j]
-            kind = "NUM"
-            # an immediately trailing bare 'i' marks an imaginary literal
-            if j < n and text[j] == "i" and not (j + 1 < n and (text[j + 1].isalnum() or text[j + 1] in "_'")):
-                kind = "IMAG"
-                j += 1
-            toks.append(_Tok(kind, num, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(_Tok("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        tok = m.group()
+        if kind == "P":
+            toks.append((tok, tok, m.start()))
+        elif kind == "IDENT" or kind == "NUM":
+            toks.append((kind, tok, m.start()))
+        elif kind == "IMAG":
+            toks.append((kind, tok[:-1], m.start()))
+        elif kind == "UNI" and tok[0].isalpha():
+            toks.append(("IDENT", tok, m.start()))
+        elif kind == "BAD":
+            raise _error(text, f"malformed number {tok!r}", m.start())
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+            raise _error(text, f"unexpected character {tok[0]!r}", m.start())
+    # a comment on the last line ends the input where it starts
+    end = text.find("#", text.rfind("\n") + 1)
+    eof = ("EOF", "", len(text) if end < 0 else end)
+    toks += (eof, eof)  # two, so that peek(1) needs no bounds check
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _lex(text)
         self.pos = 0
         self.bound: list[str] = []
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        return self.toks[self.pos + ahead]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
+    def next(self) -> tuple[str, str, int]:
+        # every caller has checked that the token is not EOF
+        self.pos += 1
+        return self.toks[self.pos - 1]
 
-    def expect(self, kind: str) -> _Tok:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+        if t[0] != kind:
+            self.fail(f"expected {kind!r}, found {t[1] or 'end of input'!r}")
         return self.next()
 
     def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+        raise _error(self.text, message, self.peek()[2])
 
     # complex literals: [-] NUM|IMAG [('+'|'-') NUM|IMAG], or bare 'i'
     def at_complex(self) -> bool:
-        t = self.peek()
-        if t.kind in ("NUM", "IMAG"):
+        kind, text, _ = self.peek()
+        if kind == "NUM" or kind == "IMAG":
             return True
-        if t.kind == "-" and self.peek(1).kind in ("NUM", "IMAG"):
+        if kind == "-" and self.peek(1)[0] in ("NUM", "IMAG"):
             return True
-        return t.kind == "IDENT" and t.text == "i"
+        return kind == "IDENT" and text == "i"
 
     def complex_lit(self) -> complex:
         sign = 1.0
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.next()
             sign = -1.0
-        t = self.peek()
-        if t.kind == "IDENT" and t.text == "i":
+        kind, text, _ = self.peek()
+        if kind == "IDENT" and text == "i":
             self.next()
             return complex(0.0, sign)
-        if t.kind not in ("NUM", "IMAG"):
+        if kind != "NUM" and kind != "IMAG":
             self.fail("expected a number")
         self.next()
-        first = sign * float(t.text)
-        if t.kind == "IMAG":
+        first = sign * float(text)
+        if kind == "IMAG":
             return complex(0.0, first)
         # optional imaginary tail
-        if self.peek().kind in ("+", "-") and self.peek(1).kind == "IMAG":
-            op = self.next().kind
-            tail = self.next()
-            im = float(tail.text)
+        if self.peek()[0] in ("+", "-") and self.peek(1)[0] == "IMAG":
+            op = self.next()[0]
+            im = float(self.next()[1])
             return complex(first, im if op == "+" else -im)
         return complex(first, 0.0)
 
     # ------------------------------------------------------------ terms
     def term(self) -> Term:
         t = self.factor()
-        while self.peek().kind == "+":
+        while self.peek()[0] == "+":
             self.next()
             t = TSum(t, self.factor())
         return t
@@ -358,80 +343,80 @@ class _Parser:
         if self.at_complex():
             save = self.pos
             c = self.complex_lit()
-            if self.peek().kind == "*":
+            if self.peek()[0] == "*":
                 self.next()
                 return TSmul(c, self.factor())
             self.pos = save  # a bare number is not a scalar multiple
         return self.tatom()
 
     def tatom(self) -> Term:
-        t = self.peek()
-        if t.kind == "NUM" and t.text == "0":
+        kind, text, _ = self.peek()
+        if kind == "NUM" and text == "0":
             self.next()
             return Origin()
-        if t.kind == "(":
+        if kind == "(":
             self.next()
             inner = self.term()
             self.expect(")")
             return inner
-        if t.kind == "IDENT":
-            if t.text == "vec":
+        if kind == "IDENT":
+            if text == "vec":
                 self.next()
                 self.expect("(")
                 coords = [self.complex_lit()]
-                while self.peek().kind == ",":
+                while self.peek()[0] == ",":
                     self.next()
                     coords.append(self.complex_lit())
                 self.expect(")")
                 return VecLit(tuple(coords))
             self.next()
-            if self.peek().kind == "(":
+            if self.peek()[0] == "(":
                 self.next()
                 arg = self.term()
                 self.expect(")")
-                return TApp(t.text, arg)
-            if t.text in self.bound:
-                return Var(t.text)
-            return Name(t.text)
+                return TApp(text, arg)
+            if text in self.bound:
+                return Var(text)
+            return Name(text)
         self.fail("expected a term")
 
     # ---------------------------------------------------------- actions
     def action(self) -> Action:
         a = self.comp()
-        while self.peek().kind == "|":
+        while self.peek()[0] == "|":
             self.next()
             a = AUnion(a, self.comp())
         return a
 
     def comp(self) -> Action:
         a = self.starred()
-        if self.peek().kind == ";":
+        if self.peek()[0] == ";":
             self.next()
             return AComp(a, self.comp())
         return a
 
     def starred(self) -> Action:
-        t = self.peek()
-        if t.kind == "(":
+        kind, text, _ = self.peek()
+        if kind == "(":
             self.next()
             a = self.action()
             self.expect(")")
-        elif t.kind == "IDENT":
+        elif kind == "IDENT":
             self.next()
-            a = ASym(t.text)
+            a = ASym(text)
         else:
             self.fail("expected an action")
-        while self.peek().kind == "*":
+        while self.peek()[0] == "*":
             self.next()
             a = AStar(a)
         return a
 
     # -------------------------------------------------------- sentences
     def sentence(self) -> Sentence:
-        t = self.peek()
-        if t.kind == "IDENT" and t.text == "store":
+        kind, text, _ = self.peek()
+        if kind == "IDENT" and text == "store":
             self.next()
-            var = self.expect("IDENT").text
+            var = self.expect("IDENT")[1]
             self.expect(".")
             self.bound.append(var)
             body = self.sentence()
@@ -441,7 +426,7 @@ class _Parser:
 
     def imp(self) -> Sentence:
         left = self.oplus()
-        k = self.peek().kind
+        k = self.peek()[0]
         if k == "=>":
             self.next()
             return Imp(left, self.imp())
@@ -452,37 +437,37 @@ class _Parser:
 
     def oplus(self) -> Sentence:
         s = self.conj()
-        while self.peek().kind == "(+)":
+        while self.peek()[0] == "(+)":
             self.next()
             s = OPlus(s, self.conj())
         return s
 
     def conj(self) -> Sentence:
         s = self.prefix()
-        while self.peek().kind == "/\\":
+        while self.peek()[0] == "/\\":
             self.next()
             s = And(s, self.prefix())
         return s
 
     def prefix(self) -> Sentence:
-        t = self.peek()
-        if t.kind == "!":
+        kind = self.peek()[0]
+        if kind == "!":
             self.next()
             return Not(self.prefix())
-        if t.kind == "~":
+        if kind == "~":
             self.next()
             return QNot(self.prefix())
-        if t.kind == "[":
+        if kind == "[":
             self.next()
             a = self.action()
             self.expect("]")
             return Nec(a, self.prefix())
-        if t.kind == "<":
+        if kind == "<":
             self.next()
             a = self.action()
             self.expect(">")
             return Pos(a, self.prefix())
-        if t.kind == "@":
+        if kind == "@":
             self.next()
             self.expect("(")
             k = self.term()
@@ -491,20 +476,20 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Sentence:
-        t = self.peek()
-        if t.kind == "(":
+        kind, text, _ = self.peek()
+        if kind == "(":
             self.next()
             s = self.sentence()
             self.expect(")")
             return s
-        if t.kind == "IDENT":
-            if t.text == "here":
+        if kind == "IDENT":
+            if text == "here":
                 self.next()
                 self.expect("(")
                 k = self.term()
                 self.expect(")")
                 return Here(k)
-            if t.text == "until":
+            if text == "until":
                 self.next()
                 self.expect("(")
                 a = self.action()
@@ -514,17 +499,17 @@ class _Parser:
                 s2 = self.sentence()
                 self.expect(")")
                 return UntilS(a, s1, s2)
-            if t.text in _KEYWORDS:
-                self.fail(f"keyword {t.text!r} cannot be a proposition")
+            if text in _KEYWORDS:
+                self.fail(f"keyword {text!r} cannot be a proposition")
             self.next()
-            return Prop(t.text)
+            return Prop(text)
         self.fail("expected a sentence")
 
 
 def _finish(parser: _Parser, node):
-    t = parser.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.col)
+    kind, text, _ = parser.peek()
+    if kind != "EOF":
+        parser.fail(f"trailing input starting at {text!r}")
     return node
 
 
@@ -548,10 +533,33 @@ def parse(text: str) -> Sentence:
     return parse_sentence(text)
 
 
+# a complex literal whose tokens only spaces or tabs separate
+_COMPLEX = re.compile(rf"""[ \t]*(?P<neg>-[ \t]*)?
+    (?: (?P<unit>i) | (?P<im>{_NUMERAL})i
+      | (?P<re>{_NUMERAL})(?:[ \t]*(?P<op>[+-])[ \t]*(?P<tail>{_NUMERAL})i)? )[ \t]*""",
+                      re.VERBOSE)
+
+
 def parse_complex(text: str) -> complex:
-    """Parse an 'a+bi' style complex literal."""
-    p = _Parser(text)
-    return _finish(p, p.complex_lit())
+    """Parse an 'a+bi' style complex literal.
+
+    One regex match reads the literal; other text goes to the parser, which
+    reads comments and line breaks or raises a located ParseError.
+    """
+    m = _COMPLEX.fullmatch(text)
+    if m is None:
+        p = _Parser(text)
+        return _finish(p, p.complex_lit())
+    sign = -1.0 if m["neg"] else 1.0
+    if m["unit"]:
+        return complex(0.0, sign)
+    if m["im"]:
+        return complex(0.0, sign * float(m["im"]))
+    first = sign * float(m["re"])
+    if m["tail"] is None:
+        return complex(first, 0.0)
+    im = float(m["tail"])
+    return complex(first, im if m["op"] == "+" else -im)
 
 
 # -------------------------------------------------------------- printing

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import teleport_spec_text
 
 from hdql.cli import main
@@ -129,6 +130,50 @@ class TestCheck:
             "Monotonicity | t00 | @(t00) p\n"))
         assert code == 1
         assert output.startswith("trace rejected: ") and "GOAL" in output
+
+    def emitted_trace(self, tmp_path) -> str:
+        path = tmp_path / "teleport.hdql"
+        path.write_text(teleport_spec_text(0.6, 0.8))
+        trace = tmp_path / "proof.trace"
+        assert run(["check", str(path), "--trace", str(trace)])[0] == 0
+        return trace.read_text()
+
+    def test_unknown_name_inside_the_tree_rejects_its_node(self, tmp_path):
+        trace = self.emitted_trace(tmp_path)
+        assert "RetE | t00 | p\n" in trace
+        code, output = self.forged(tmp_path, "zz.trace",
+                                   trace.replace("RetE | t00 | p\n", "RetE | zz | p\n"))
+        assert code == 1
+        assert output.startswith("trace rejected at node [")
+        assert "unknown vector constant 'zz'" in output
+
+    def test_wrong_dimension_literal_inside_the_tree_rejects_its_node(self, tmp_path):
+        trace = self.emitted_trace(tmp_path).replace("RetE | t00 | p\n",
+                                                     "RetE | vec(1, 0) | p\n")
+        code, output = self.forged(tmp_path, "dim.trace", trace)
+        assert code == 1
+        assert output.startswith("trace rejected at node [")
+        assert "dim 2" in output
+
+    def test_node_without_its_premise_is_rejected(self, tmp_path):
+        rows = self.emitted_trace(tmp_path).splitlines(keepends=True)
+        cut = [r for r in rows if r.strip() != "Monotonicity | t00 | @(t00) p"]
+        assert len(cut) == len(rows) - 1
+        code, output = self.forged(tmp_path, "cut.trace", "".join(cut))
+        assert code == 1
+        assert output.startswith("trace rejected at node [")
+        assert "RetE: expects 1 premises, got 0" in output
+
+    def test_3000_deep_trace_rechecks(self, tmp_path):
+        # the kernel walks the tree with an explicit stack, not by recursion
+        rows = self.emitted_trace(tmp_path).splitlines()
+        header, proof = rows[:7], rows[7:]
+        assert header[-1] == "proof"
+        goal = proof[0].split(" | ", 2)[2]
+        chain = [f"{'  ' * d}EQ | w0 | {goal}" for d in range(3000)]
+        code, output = self.forged(tmp_path, "deep.trace", "\n".join(
+            header + chain + ["  " * 3000 + r for r in proof]) + "\n")
+        assert (code, output) == (0, "trace checks\n")
 
     def test_truncated_gamma_block_exits_65(self, tmp_path):
         code, output = self.forged(tmp_path, "short.trace",
@@ -268,3 +313,31 @@ class TestErrorPaths:
         code, output = run(["check", str(path)])
         assert code == 65
         assert "residual" in output
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("v0 = (1, 0)", "v0 = (1.2.3, 0)", 3),
+        ("x = [0, 1; 1, 0]", "x = [1, 0; 0, 1.2.3]", 7),
+        ("GOAL AT v0 PROVE p", "GOAL AT 1e*v0 PROVE p", 14),
+    ], ids=["vector", "matrix", "goal"])
+    def test_malformed_numeral_exits_65_with_its_line(self, tmp_path, old, new, line):
+        assert SMALL.count(old) == 1
+        path = tmp_path / "bad.hdql"
+        path.write_text(SMALL.replace(old, new))
+        code, output = run(["check", str(path)])
+        assert code == 65, output
+        assert output.startswith(f"line {line}: ") and "malformed number" in output
+
+
+class TestArgumentParser:
+    def test_reused_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        path = tmp_path / "small.hdql"
+        path.write_text(SMALL)
+        code, output = run(["check", str(path), "--goal", "1"])
+        assert code == 0 and "goal 2" not in output
+        code, output = run(["check", str(path)])
+        assert code == 1
+        assert "goal 1: proved" in output and "goal 2: not provable" in output
+        assert run(["check"])[0] == 64
+        assert run(["--help"])[0] == 0
+        assert "usage: hdql" in capsys.readouterr().out
+        assert run(["check", str(path), "--goal", "2"])[0] == 1

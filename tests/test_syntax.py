@@ -1,5 +1,8 @@
 """Parser, printer, substitution, desugaring and kind classification."""
 
+import re
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -268,3 +271,191 @@ class TestClassifyAgainstBruteForce:
             assert k.is_basic == bf_basic(s), sx.format_sentence(s)
             assert k.is_closed == bf_closed(s), sx.format_sentence(s)
             assert k.is_quantum_clause == bf_clause(s), sx.format_sentence(s)
+
+
+# ------------------------------------------------- the front end against references
+#
+# The character-loop lexer that the compiled-regex lexer replaced, kept as the
+# reference: token boundaries, kinds and locations must not change.
+
+_REF_PUNCT = ["/\\", "=>", "~>", "(+)", "[", "]", "<", ">", "(", ")", "{", "}",
+              ".", ",", ";", "|", "*", "+", "-", "@", "!", "~", "="]
+
+
+@dataclass(frozen=True)
+class _RefTok:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def reference_lex(text: str) -> list[_RefTok]:
+    toks: list[_RefTok] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                j = k
+            num = text[i:j]
+            kind = "NUM"
+            if j < n and text[j] == "i" and not (j + 1 < n and (text[j + 1].isalnum() or text[j + 1] in "_'")):
+                kind = "IMAG"
+                j += 1
+            toks.append(_RefTok(kind, num, line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(_RefTok("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _REF_PUNCT:
+            if text.startswith(p, i):
+                toks.append(_RefTok(p, p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(_RefTok("EOF", "", line, col))
+    return toks
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _offset(text: str, line: int, col: int) -> int:
+    return sum(len(row) + 1 for row in text.split("\n")[:line - 1]) + col - 1
+
+
+def _floats(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_CHUNKS = (_REF_PUNCT + list("0123456789") + list(".eE+-i")
+           + ["w0", "u1", "x'", "_a", "i", "e", "E5", "store", "vec"]
+           + [" ", "  ", "\t", "\r", "\n", "# note", "#"]
+           + ["é", "λ", "Ω", "²", "١", "½", "x²"])
+
+
+def _random_text(rng) -> str:
+    return "".join(str(rng.choice(_CHUNKS)) for _ in range(int(rng.integers(0, 12))))
+
+
+class TestLexerAgainstReference:
+    def check(self, text: str):
+        try:
+            ref, ref_error = reference_lex(text), None
+        except ParseError as e:
+            ref_error = (e.line, e.column)
+            ref = reference_lex(text[:_offset(text, e.line, e.column)])
+        bad = [t for t in ref if t.kind in ("NUM", "IMAG") and not _floats(t.text)]
+        if bad:  # the first malformed numeral is a located error inside its run
+            with pytest.raises(ParseError) as got:
+                sx._lex(text)
+            assert got.value.line == bad[0].line, text
+            assert bad[0].col <= got.value.column < bad[0].col + len(bad[0].text), text
+        elif ref_error is not None:
+            with pytest.raises(ParseError) as got:
+                sx._lex(text)
+            assert (got.value.line, got.value.column) == ref_error, text
+        else:
+            toks = sx._lex(text)
+            assert toks[-1] == toks[-2] and toks[-1][0] == "EOF"
+            assert ([(k, t, *_line_col(text, off)) for k, t, off in toks[:-1]]
+                    == [(t.kind, t.text, t.line, t.col) for t in ref]), text
+
+    def test_seeded_random_corpus(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(6000):
+            self.check(_random_text(rng))
+
+    def test_numeral_boundaries(self):
+        for text in ["1.2.3", "1e", "1e+", "1e5.5", "1e5e", "2ix", "2i'", "2i_",
+                     ".5.", "5.e3i", "1..2", "x1.5", "1²", "²", ".²", "١٢i",
+                     "1 # 2.2.2", "3.\n.4", "0.5+0.5i", "1E-7i*w0", "e1"]:
+            self.check(text)
+
+    def test_round_trip_corpus_gives_the_reference_tokens(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            self.check(sx.format_sentence(random_sentence(rng, 4, bound=())))
+
+
+_LITERAL_PARTS = ["", "", "-", "- ", "+", " ", "\t", "1", "0", "2.5", ".5", "7.",
+                  "1e3", "2E-2", "1.2.3", "1e", "i", "i", "x", "²", "١", "+", "-",
+                  " + ", " - ", "#c", "\n", "ii", "*"]
+
+
+class TestParseComplexAgainstParser:
+    def reference(self, text: str):
+        try:
+            p = sx._Parser(text)
+            return repr(sx._finish(p, p.complex_lit()))
+        except ParseError as e:
+            return ("error", e.line, e.column)
+
+    def test_generated_literals_and_near_literals(self):
+        rng = np.random.default_rng(9)
+        texts = [sx.format_complex(complex(*rng.standard_normal(2).round(int(d))))
+                 for d in rng.integers(0, 18, 300)]
+        texts += ["".join(str(rng.choice(_LITERAL_PARTS)) for _ in range(int(rng.integers(1, 7))))
+                  for _ in range(4000)]
+        texts += ["i", "-i", "- i", "-0", "-0i", "1-0i", "2+3i", "2 - 3i", "1e5i", "-.5e-3"]
+        for text in texts:
+            want = self.reference(text)
+            try:
+                got = repr(sx.parse_complex(text))
+            except ParseError as e:
+                got = ("error", e.line, e.column)
+            assert got == want, text
+            if isinstance(want, str) and not set(text) & set("#\n\r"):
+                assert sx._COMPLEX.fullmatch(text), text  # read without a parser
+
+    def test_malformed_literal_is_a_located_parse_error(self):
+        for text, column in [("²", 1), ("1.2.3", 1), ("1+2.2.2i", 3), ("1 + x", 3)]:
+            with pytest.raises(ParseError) as e:
+                sx.parse_complex(text)
+            assert (e.value.line, e.value.column) == (1, column), text
+        for run in ["1.2.3", "1e", "1e+", "2.5E-"]:
+            with pytest.raises(ParseError, match=f"malformed number '{re.escape(run)}'"):
+                sx.parse_complex(f"{run}i")
+
+
+class TestParseErrorLocation:
+    def test_error_on_line_3(self):
+        for text, column in [("p /\\\n  q /\\\n  r )", 5), ("[u0]\n\n  @(w0 q", 8),
+                             ("p /\\\n  q /\\\n  (r # open", 6)]:
+            with pytest.raises(ParseError) as e:
+                sx.parse(text)
+            assert (e.value.line, e.value.column) == (3, column), text
