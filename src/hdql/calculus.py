@@ -28,8 +28,8 @@ from . import hilbert as hl
 from . import syntax as sx
 from .errors import BudgetExceeded, HdqlError, ProofError
 from .semantics import QuantumModel, StarBudget, orbit
-from .signature import (Morphism, SignatureInstance, classify_in, diagram_eq,
-                        diagram_residual, eval_term)
+from .signature import (Morphism, SignatureInstance, apply_symbol, classify_in,
+                        diagram_eq, diagram_residual, eval_term, state_residual)
 from .syntax import (AComp, ASym, AStar, AUnion, And, At, Imp, Nec, Origin,
                      Prop, QImp, Store, TApp, TSmul, TSum)
 
@@ -85,9 +85,12 @@ class ProofTree:
 
 
 def proof_nodes(t: ProofTree):
-    yield t
-    for p in t.premises:
-        yield from proof_nodes(p)
+    """Every node of the tree in pre-order, from an explicit stack."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(node.premises)
 
 
 @dataclass(frozen=True)
@@ -438,11 +441,13 @@ class _Saturation:
     """
 
     def __init__(self, sig: SignatureInstance, gamma: tuple[sx.Sentence, ...],
-                 budget: SearchBudget, counter: _Counter):
+                 budget: SearchBudget, counter: _Counter, vectors: dict):
         self.sig = sig
         self.gamma = gamma
         self.budget = budget
         self.counter = counter
+        # term -> evaluated state, shared by every saturation of one session
+        self.vectors: dict[sx.Term, np.ndarray] = vectors
         self.class_vecs = hl.VectorTable(sig.dim, sig.tol)
         self.class_terms: list[sx.Term] = []
         # exact: a term's vector is fixed and the table only appends
@@ -454,6 +459,7 @@ class _Saturation:
         self.fired: set[tuple[int, int]] = set()
         # class ids acting as instantiation sites, in registration order
         self.sites: dict[int, None] = {}
+        self.walked: set[sx.Term] = set()  # terms register_site walked in full
         self.span_dirty: set[str] = set()
         self.spans: dict[str, tuple] = {}  # r -> (basis rows, combos)
         self.incomplete = False
@@ -461,10 +467,25 @@ class _Saturation:
             self._add_universal(c, self._mono_builder(c))
 
     # -- class table ------------------------------------------------------
+    def vector(self, term: sx.Term) -> np.ndarray:
+        """eval_term, memoized: s(t) is apply_symbol(s, vector(t)), as there."""
+        v = self.vectors.get(term)
+        if v is None:
+            v = self.vectors[term] = (
+                apply_symbol(self.sig, term.sym, self.vector(term.arg))
+                if isinstance(term, TApp) else eval_term(self.sig, term))
+        return v
+
+    def is_ground(self, term: sx.Term) -> bool:
+        return term in self.vectors or sx.is_ground(term)  # evaluated means ground
+
+    def diagram_eq(self, k1: sx.Term, k2: sx.Term) -> bool:
+        return state_residual(self.vector(k1), self.vector(k2)) <= self.sig.tol
+
     def intern(self, term: sx.Term) -> int:
         cid = self.class_of.get(term)
         if cid is None:
-            vec = eval_term(self.sig, term)
+            vec = self.vector(term)
             cid = self.class_vecs.find(vec)
             if cid < 0:
                 cid = self.class_vecs.add(vec)
@@ -473,18 +494,32 @@ class _Saturation:
         return cid
 
     def register_site(self, term: sx.Term) -> None:
-        """Make a ground term (and its subterms) an instantiation site."""
-        for sub in sx.subterms(term):
+        """Make a ground term (and its subterms) an instantiation site.
+
+        A subtree walked before is skipped: its subterms are all sites.
+        """
+        stack = [term]
+        while stack:
+            sub = stack.pop()
+            if sub in self.walked:
+                continue
             cid = self.intern(sub)
+            self.walked.add(sub)
             if cid not in self.sites:
                 self.sites[cid] = None
                 for s, builder in list(self.universal.items()):
                     self.queue.append(("inst", s, builder, self.class_terms[cid]))
+            if isinstance(sub, TSum):
+                stack += (sub.right, sub.left)
+            elif isinstance(sub, (TSmul, TApp)):
+                stack.append(sub.arg)
 
     # -- fact bookkeeping ---------------------------------------------------
     def _mono_builder(self, c: sx.Sentence):
+        gamma = self.gamma  # not self: no cycle, so a dropped session is freed at once
+
         def build(k: sx.Term) -> ProofTree:
-            return ProofTree(Sequent(self.gamma, k, c), RuleId.MONOTONICITY)
+            return ProofTree(Sequent(gamma, k, c), RuleId.MONOTONICITY)
         return build
 
     def _add_universal(self, s: sx.Sentence, builder) -> None:
@@ -531,7 +566,7 @@ class _Saturation:
                     return ProofTree(Sequent(gamma, k, _part), RuleId.CONJ_E, (_b(k),))
                 self._add_universal(part, build)
         elif isinstance(s, At):
-            if sx.is_ground(s.term):
+            if self.is_ground(s.term):
                 premise = builder(s.term)
                 self.add_fact(s.body, s.term, ProofTree(
                     Sequent(gamma, s.term, s.body), RuleId.RET_E, (premise,)))
@@ -592,7 +627,7 @@ class _Saturation:
                 self.add_fact(part, term, ProofTree(
                     Sequent(gamma, term, part), RuleId.CONJ_E, (proof,)))
         elif isinstance(s, At):
-            if sx.is_ground(s.term):
+            if self.is_ground(s.term):
                 self.add_fact(s.body, s.term, ProofTree(
                     Sequent(gamma, s.term, s.body), RuleId.RET_E, (proof,)))
         elif isinstance(s, Store):
@@ -640,7 +675,7 @@ class _Saturation:
         tree: ProofTree = origin
         if tree.conclusion.k == k:
             return tree
-        if diagram_eq(self.sig, tree.conclusion.k, k):
+        if self.diagram_eq(tree.conclusion.k, k):
             return ProofTree(Sequent(self.gamma, k, s), RuleId.EQ, (tree,))
         return None
 
@@ -658,16 +693,17 @@ class _Prover:
         self.budget = budget
         self.counter = _Counter(budget.max_nodes)
         self.saturations: dict[tuple[sx.Sentence, ...], _Saturation] = {}
+        self.vectors: dict[sx.Term, np.ndarray] = {}
         self.root_gamma = gamma
         self.star_exhausted = False
 
     def saturation(self, gamma: tuple[sx.Sentence, ...]) -> _Saturation:
         sat = self.saturations.get(gamma)
         if sat is None:
-            sat = _Saturation(self.sig, gamma, self.budget, self.counter)
+            sat = _Saturation(self.sig, gamma, self.budget, self.counter, self.vectors)
             for c in gamma:
                 for t in sx.sentence_terms(c):
-                    if sx.is_ground(t):
+                    if sat.is_ground(t):
                         sat.register_site(t)
             sat.drain()
             self.saturations[gamma] = sat
@@ -718,7 +754,7 @@ class _Prover:
                 return None
             return ProofTree(Sequent(gamma, k, goal), RuleId.CONJ_I, (left, right))
         if isinstance(goal, At):
-            if not sx.is_ground(goal.term):
+            if not sat.is_ground(goal.term):
                 return None
             inner = self.prove(gamma, goal.term, goal.body, allow_mp)
             if inner is None:
@@ -731,7 +767,7 @@ class _Prover:
                 return None
             return ProofTree(Sequent(gamma, k, goal), RuleId.STORE_I, (inner,))
         if isinstance(goal, Nec):
-            return self._prove_nec(gamma, k, goal, allow_mp)
+            return self._prove_nec(gamma, sat, k, goal, allow_mp)
         if isinstance(goal, (Imp, QImp)):
             inner = self.prove(gamma + (At(k, goal.left),), k, goal.right, allow_mp)
             if inner is None:
@@ -742,10 +778,10 @@ class _Prover:
             return self._prove_prop(gamma, sat, k, goal, allow_mp)
         return None
 
-    def _prove_nec(self, gamma, k: sx.Term, goal: Nec, allow_mp: bool):
+    def _prove_nec(self, gamma, sat: _Saturation, k: sx.Term, goal: Nec, allow_mp: bool):
         a = goal.action
         if isinstance(a, ASym):
-            if not sx.is_ground(k):
+            if not sat.is_ground(k):
                 return None
             inner = self.prove(gamma, TApp(a.name, k), goal.body, allow_mp)
             if inner is None:
@@ -766,10 +802,9 @@ class _Prover:
                 return None
             return ProofTree(Sequent(gamma, k, goal), RuleId.UNION_I, (left, right))
         if isinstance(a, AStar):
-            if not sx.is_ground(k):
+            if not sat.is_ground(k):
                 return None
-            w = eval_term(self.sig, k)
-            _, period, closed = orbit(QuantumModel(self.sig, {}), a.body, w,
+            _, period, closed = orbit(QuantumModel(self.sig, {}), a.body, sat.vector(k),
                                       self.budget.star, verdict_only=True)
             if not closed:
                 self.star_exhausted = True
@@ -786,7 +821,7 @@ class _Prover:
 
     def _prove_prop(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop,
                     allow_mp: bool):
-        if not sx.is_ground(k):
+        if not sat.is_ground(k):
             return None
         if goal in sat.universal:
             return sat.universal[goal](k)
@@ -807,7 +842,7 @@ class _Prover:
                 if left is not None and right is not None:
                     return ProofTree(Sequent(gamma, k, goal), RuleId.ADD,
                                      (left, right))
-            if diagram_eq(self.sig, k, Origin()):
+            if sat.diagram_eq(k, Origin()):
                 return ProofTree(Sequent(gamma, k, goal), RuleId.ORIGIN)
         if allow_mp:
             tree = self._prove_by_mp(gamma, sat, k, goal)
@@ -826,8 +861,7 @@ class _Prover:
         basis, entries = sat.span_of(goal.name)
         if basis.rank == 0 or not entries:
             return None
-        target = eval_term(self.sig, k)
-        if not hl.member(basis, target, self.sig.tol):
+        if not hl.member(basis, sat.vector(k), self.sig.tol):
             return None
         fact_matrix = sat.class_vecs.rows[[cid for cid, _ in entries]]
         premises = []
@@ -893,6 +927,10 @@ class ProofSession:
             sat.register_site(t)
         self._prover.saturate_sites(self.gamma)
 
+    def vector(self, k: sx.Term) -> np.ndarray:
+        """The state a ground term evaluates to, memoized for the session."""
+        return self._prover.saturation(self.gamma).vector(k)
+
     def prop_fact_vectors(self, p: str) -> list[np.ndarray]:
         """Evaluated states of every derived fact for the proposition.
 
@@ -908,9 +946,9 @@ class ProofSession:
         goal = sx.desugar(goal)
         if not classify_in(self.sig, goal).is_quantum_clause:
             raise ProofError(f"not a quantum clause: {sx.format_sentence(goal)}")
-        if not sx.is_ground(k):
-            raise ProofError(f"goal term is not ground: {sx.format_term(k)}")
         prover = self._prover
+        if k not in prover.vectors and not sx.is_ground(k):  # evaluated means ground
+            raise ProofError(f"goal term is not ground: {sx.format_term(k)}")
         star_before = prover.star_exhausted
         prover.star_exhausted = False
         try:
@@ -944,22 +982,15 @@ def prove(sig: SignatureInstance, gamma, k: sx.Term, goal: sx.Sentence,
 
 def used_premises(t: ProofTree) -> tuple[sx.Sentence, ...]:
     """The clause-set members actually consumed by Monotonicity nodes."""
-    out: list[sx.Sentence] = []
-
-    def walk(node: ProofTree, added: frozenset[sx.Sentence]):
-        if node.rule is RuleId.MONOTONICITY:
-            goal = node.conclusion.goal
-            if goal not in added and goal not in out:
-                out.append(goal)
+    out: dict[sx.Sentence, None] = {}  # in pre-order of first use
+    stack = [(t, frozenset())]
+    while stack:
+        node, added = stack.pop()
+        if node.rule is RuleId.MONOTONICITY and node.conclusion.goal not in added:
+            out.setdefault(node.conclusion.goal)
         if node.rule in (RuleId.IMP, RuleId.IMP_C):
-            hyp = At(node.conclusion.k, node.conclusion.goal.left)
-            for p in node.premises:
-                walk(p, added | {hyp})
-        else:
-            for p in node.premises:
-                walk(p, added)
-
-    walk(t, frozenset())
+            added = added | {At(node.conclusion.k, node.conclusion.goal.left)}
+        stack += [(p, added) for p in reversed(node.premises)]
     return tuple(out)
 
 

@@ -103,7 +103,7 @@ def build_initial(sig: SignatureInstance, gamma, depth: int = 6,
         for t in universe:
             derived[(p, t)] = session.prove(t, sx.Prop(p)).status
             if derived[(p, t)] == "holds":
-                held.append(eval_term(sig, t))
+                held.append(session.vector(t))
         # guard elimination derives facts past the universe boundary; they
         # are provable, so they belong to the region
         provable = hl.VectorTable(sig.dim, sig.tol)

@@ -20,8 +20,8 @@ from .hilbert import DEFAULT_TOL, Subspace
 
 __all__ = [
     "SignatureInstance", "Violation", "Morphism", "identity_morphism",
-    "eval_term", "apply_symbol", "diagram_eq", "diagram_residual", "validate",
-    "apply_morphism", "classify_in",
+    "eval_term", "apply_symbol", "diagram_eq", "diagram_residual", "state_residual",
+    "validate", "apply_morphism", "classify_in",
 ]
 
 
@@ -127,7 +127,11 @@ def apply_symbol(sig: SignatureInstance, sym: str, v: np.ndarray) -> np.ndarray:
 
 def diagram_residual(sig: SignatureInstance, k1: sx.Term, k2: sx.Term) -> float:
     """Scaled distance between the two evaluations."""
-    v1, v2 = eval_term(sig, k1), eval_term(sig, k2)
+    return state_residual(eval_term(sig, k1), eval_term(sig, k2))
+
+
+def state_residual(v1: np.ndarray, v2: np.ndarray) -> float:
+    """|v1 - v2| / max(1, |v1|): the distance diagram equality bounds by tol."""
     return hl.norm(v1 - v2) / max(1.0, hl.norm(v1))
 
 

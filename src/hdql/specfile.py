@@ -82,8 +82,13 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+_BRACKET = re.compile(r"[][(){}]")
+
+
 def _split_top(text: str, sep: str) -> list[str]:
     """Split on a separator, ignoring separators inside brackets."""
+    if not _BRACKET.search(text):
+        return text.split(sep)
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "([{":

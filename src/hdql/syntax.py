@@ -1,5 +1,9 @@
 """ASTs and concrete syntax for terms, actions and sentences.
 
+AST nodes are immutable, slotted dataclasses that compare by structure and
+compute their hash once: the first ``hash`` walks the fields, later ones
+read a slot, so keying a dict by a deep term costs no tree walk.
+
 Concrete grammar (ASCII), loosest binding first::
 
     sentence := 'store' IDENT '.' sentence | imp
@@ -54,45 +58,75 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------- nodes
+
+class _Node:
+    """Base of every AST node; its one extra slot holds the cached hash."""
+    __slots__ = ("_hash",)
+
+
+def _node(cls):
+    """Make an AST node class a frozen, slotted dataclass that hashes once.
+
+    The hash is the dataclass's generated field-tuple hash, stored in the
+    ``_hash`` slot on first use, so a dict lookup no longer walks the tree.
+    Pickling and copying carry the fields only: a node loaded under another
+    ``PYTHONHASHSEED`` computes its hash afresh.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class Name:
+@_node
+class Name(_Node):
     """Named vector constant, resolved against a signature."""
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     """Store-bound variable of sort vector."""
     name: str
 
 
-@dataclass(frozen=True)
-class VecLit:
+@_node
+class VecLit(_Node):
     """Explicit coordinates; introduced by store semantics."""
     coords: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class Origin:
+@_node
+class Origin(_Node):
     """The origin vector 0."""
 
 
-@dataclass(frozen=True)
-class TSum:
+@_node
+class TSum(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class TSmul:
+@_node
+class TSmul(_Node):
     scalar: complex
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class TApp:
+@_node
+class TApp(_Node):
     """Application of a unitary or measurement symbol."""
     sym: str
     arg: "Term"
@@ -103,26 +137,26 @@ Term = Name | Var | VecLit | Origin | TSum | TSmul | TApp
 
 # -------------------------------------------------------------- actions
 
-@dataclass(frozen=True)
-class ASym:
+@_node
+class ASym(_Node):
     """A unitary or measurement symbol; the signature decides which."""
     name: str
 
 
-@dataclass(frozen=True)
-class AComp:
+@_node
+class AComp(_Node):
     left: "Action"
     right: "Action"
 
 
-@dataclass(frozen=True)
-class AUnion:
+@_node
+class AUnion(_Node):
     left: "Action"
     right: "Action"
 
 
-@dataclass(frozen=True)
-class AStar:
+@_node
+class AStar(_Node):
     body: "Action"
 
 
@@ -131,13 +165,13 @@ Action = ASym | AComp | AUnion | AStar
 
 # ------------------------------------------------------------ sentences
 
-@dataclass(frozen=True)
-class Prop:
+@_node
+class Prop(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Here:
+@_node
+class Here(_Node):
     """True exactly at the state denoted by the term (nominal-as-sentence).
 
     Extension beyond the core grammar: needed so a stored state name can
@@ -146,75 +180,75 @@ class Here:
     term: Term
 
 
-@dataclass(frozen=True)
-class At:
+@_node
+class At(_Node):
     """Retrieve: evaluate the body at the state named by the term."""
     term: Term
     body: "Sentence"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     left: "Sentence"
     right: "Sentence"
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     """Classical negation."""
     body: "Sentence"
 
 
-@dataclass(frozen=True)
-class QNot:
+@_node
+class QNot(_Node):
     """Quantum negation: orthocomplement of the extension."""
     body: "Sentence"
 
 
-@dataclass(frozen=True)
-class Nec:
+@_node
+class Nec(_Node):
     """Necessity along an action."""
     action: Action
     body: "Sentence"
 
 
-@dataclass(frozen=True)
-class Pos:
+@_node
+class Pos(_Node):
     """Possibility; sugar for 'not nec not'."""
     action: Action
     body: "Sentence"
 
 
-@dataclass(frozen=True)
-class Store:
+@_node
+class Store(_Node):
     """Bind the current state to a variable."""
     var: str
     body: "Sentence"
 
 
-@dataclass(frozen=True)
-class Imp:
+@_node
+class Imp(_Node):
     """Classical implication; kept primitive for the proof rules."""
     left: "Sentence"
     right: "Sentence"
 
 
-@dataclass(frozen=True)
-class QImp:
+@_node
+class QImp(_Node):
     """Sasaki hook; kept primitive for the proof rules."""
     left: "Sentence"
     right: "Sentence"
 
 
-@dataclass(frozen=True)
-class OPlus:
+@_node
+class OPlus(_Node):
     """Quantum disjunction; sugar."""
     left: "Sentence"
     right: "Sentence"
 
 
-@dataclass(frozen=True)
-class UntilS:
+@_node
+class UntilS(_Node):
     """Until along an action; sugar."""
     action: Action
     first: "Sentence"

@@ -103,3 +103,17 @@ def sample_states(model: QuantumModel, ext: hl.Subspace, count: int, rng):
             n = hl.norm(v)
             out.append(v / n if n > 1e-12 else hl.random_state(dim, rng))
     return out
+
+
+def random_ground_term(rng, depth: int, names: list[str], syms: list[str]) -> sx.Term:
+    """A ground term over named states, the origin, sums, scalings and symbols."""
+    if depth == 0 or rng.random() < 0.3:
+        return sx.Origin() if rng.random() < 0.1 else sx.Name(str(rng.choice(names)))
+    c = rng.random()
+    if c < 0.2:
+        return sx.TSum(random_ground_term(rng, depth - 1, names, syms),
+                       random_ground_term(rng, depth - 1, names, syms))
+    if c < 0.35:
+        scalar = complex(round(rng.standard_normal(), 3), round(rng.standard_normal(), 3))
+        return sx.TSmul(scalar, random_ground_term(rng, depth - 1, names, syms))
+    return sx.TApp(str(rng.choice(syms)), random_ground_term(rng, depth - 1, names, syms))

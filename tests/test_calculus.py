@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from gen import random_closed_model, random_ground_term
+from hdql import calculus
 from hdql import hilbert as hl
 from hdql import semantics as sm
 from hdql import signature as sg
 from hdql import syntax as sx
-from hdql.calculus import (ProofTree, RuleId, SearchBudget, Sequent,
+from hdql.calculus import (ProofSession, ProofTree, RuleId, SearchBudget, Sequent,
                            check_proof, proof_nodes, prove,
                            restrict_premises, used_premises)
 from hdql.errors import ProofError
 from hdql.semantics import FiniteVectors, QuantumModel, StarBudget
+from hdql.specfile import serialize_trace
 from hdql.syntax import (And, At, Imp, Name, Nec, Origin, Prop, QImp, TApp,
                          TSmul, TSum, VecLit, parse, parse_term)
 
@@ -360,3 +363,141 @@ def random_basic(rng, depth: int) -> sx.Sentence:
         action = sx.ASym(str(rng.choice(["h", "x", "m0"])))
         return Nec(action, random_basic(rng, d))
     return sx.Store(str(rng.choice(["y", "z"])), random_basic(rng, d))
+
+
+# ----------------------------------------------------------- deep proof walks
+
+def reference_proof_nodes(t):
+    yield t
+    for p in t.premises:
+        yield from reference_proof_nodes(p)
+
+
+def reference_used_premises(t):
+    out = []
+
+    def walk(node, added):
+        if node.rule is RuleId.MONOTONICITY:
+            goal = node.conclusion.goal
+            if goal not in added and goal not in out:
+                out.append(goal)
+        if node.rule in (RuleId.IMP, RuleId.IMP_C):
+            hyp = At(node.conclusion.k, node.conclusion.goal.left)
+            for p in node.premises:
+                walk(p, added | {hyp})
+        else:
+            for p in node.premises:
+                walk(p, added)
+
+    walk(t, frozenset())
+    return tuple(out)
+
+
+def eq_chain(depth: int) -> ProofTree:
+    seq = Sequent((Prop("p"),), Name("v0"), Prop("p"))
+    tree = ProofTree(seq, RuleId.MONOTONICITY)
+    for _ in range(depth):
+        tree = ProofTree(seq, RuleId.EQ, (tree,))
+    return tree
+
+
+class TestProofWalks:
+    def test_proof_nodes_on_a_3000_deep_chain(self):
+        tree = eq_chain(3000)
+        nodes = list(proof_nodes(tree))
+        assert len(nodes) == 3001 and nodes[0] is tree
+        assert [n.rule for n in nodes] == [RuleId.EQ] * 3000 + [RuleId.MONOTONICITY]
+
+    def test_used_premises_on_a_3000_deep_chain(self):
+        assert used_premises(eq_chain(3000)) == (Prop("p"),)
+
+    def test_same_order_as_the_recursive_walks(self, teleport):
+        sig, axioms, start, goal = teleport
+        trees = [prove(sig, axioms, start, goal).tree]
+        qsig = qubit_sig()
+        for gamma, k, goal in [
+                (["p => q", "p"], "v0", "q /\\ p"),
+                (["r", "@(v1) q"], "v0", "(@(v0) p) => (q => r)"),
+                (["q"], "v0", "(@(v0) p) => (p /\\ q)"),
+                (["@(v0) p", "@(v1) q", "[h ; x] r"], "v0", "[h] [x] r /\\ [h ; x] r")]:
+            result = prove(qsig, [parse(c) for c in gamma], parse_term(k), parse(goal))
+            assert result.holds, goal
+            trees.append(result.tree)
+        for tree in trees:
+            assert list(proof_nodes(tree)) == list(reference_proof_nodes(tree))
+            assert used_premises(tree) == reference_used_premises(tree)
+
+
+# ------------------------------------------- site registration and the memo
+
+def reference_register_site(sat, term):
+    """The walk before pruning: every subterm of every call, via subterms."""
+    for sub in sx.subterms(term):
+        cid = sat.intern(sub)
+        if cid not in sat.sites:
+            sat.sites[cid] = None
+            for s, builder in list(sat.universal.items()):
+                sat.queue.append(("inst", s, builder, sat.class_terms[cid]))
+
+
+def _random_terms(rng, sig, n):
+    names = sorted(sig.named_vectors)
+    syms = sorted(sig.unitaries) + sorted(sig.measurements)
+    terms = []
+    for _ in range(n):
+        t = random_ground_term(rng, int(rng.integers(0, 6)), names, syms)
+        if terms and rng.random() < 0.4:  # share subtrees with earlier terms
+            old = terms[int(rng.integers(len(terms)))]
+            t = sx.TApp(str(rng.choice(syms)), old) if rng.random() < 0.5 else TSum(old, t)
+        terms.append(t)
+    return terms
+
+
+_SITE_CLAUSES = ["[u0] p", "@(w0) p", "@(w0) r0", "[m0] r1", "[u0 ; u1] r2",
+                 "@(u1(w0)) [u0] p", "(@(w0) p) => r1", "store y . [u1] @(y) p"]
+
+
+def _session_run(sig, terms, queries):
+    session = ProofSession(sig, [parse(c) for c in _SITE_CLAUSES])
+    session.register_terms(terms[: len(terms) // 2])
+    results = []
+    for k, goal in queries:
+        r = session.prove(k, goal)
+        text = serialize_trace(session.gamma, r.tree) if r.tree is not None else ""
+        results.append((r.status, r.reason, text))
+    session.register_terms(terms[len(terms) // 2:])
+    return session, results
+
+
+class TestSitesAndMemo:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pruned_walk_matches_the_subterms_walk(self, seed, monkeypatch):
+        rng = np.random.default_rng(300 + seed)
+        sig = random_closed_model(2, rng).sig
+        terms = _random_terms(rng, sig, 40)
+        queries = [(t, Prop(str(rng.choice(["p", "r0", "r1", "r2"])))) for t in terms[::3]]
+        with monkeypatch.context() as m:
+            m.setattr(calculus._Saturation, "register_site", reference_register_site)
+            ref, ref_results = _session_run(sig, terms, queries)
+        new, new_results = _session_run(sig, terms, queries)
+        assert new_results == ref_results
+        assert any(status == "holds" for status, _, _ in new_results)
+        ref_sats, new_sats = ref._prover.saturations, new._prover.saturations
+        assert list(new_sats) == list(ref_sats)
+        for gamma, sat in new_sats.items():
+            assert list(sat.sites) == list(ref_sats[gamma].sites)
+            assert sat.class_terms == ref_sats[gamma].class_terms
+            assert list(sat.facts) == list(ref_sats[gamma].facts)
+
+    def test_memoized_vectors_are_eval_term_bit_for_bit(self):
+        rng = np.random.default_rng(310)
+        sig = random_closed_model(3, rng).sig
+        terms = _random_terms(rng, sig, 60)
+        session, _ = _session_run(sig, terms, [(t, Prop("p")) for t in terms[::5]])
+        memo = session._prover.vectors
+        assert set(terms) <= set(memo)
+        assert any(isinstance(t, TApp) and isinstance(t.arg, TApp) for t in memo)
+        for t, v in memo.items():
+            assert np.array_equal(v, sg.eval_term(sig, t)), sx.format_term(t)
+        for t in terms:
+            assert np.array_equal(session.vector(t), sg.eval_term(sig, t))

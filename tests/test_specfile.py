@@ -4,6 +4,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import teleport_spec_text
@@ -11,9 +12,46 @@ from conftest import teleport_spec_text
 from hdql import syntax as sx
 from hdql.calculus import ProofSession, ProofTree, RuleId, Sequent, check_proof
 from hdql.errors import HdqlError
-from hdql.specfile import (SpecLoadError, deserialize_trace, load_spec_text,
+from hdql.specfile import (SpecLoadError, _split_top, deserialize_trace, load_spec_text,
                            serialize_trace, trace_from_json, trace_to_json,
                            valuation_model)
+
+
+def reference_split_top(text: str, sep: str) -> list[str]:
+    """The bracket-aware character loop, for every input."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
+class TestSplitTop:
+    def test_matches_the_character_loop_on_random_strings(self):
+        rng = np.random.default_rng(61)
+        plain = list(",;  .-+i0123456789ab")
+        brackets = list("()[]{}")
+        split = 0
+        for n in range(4000):
+            alphabet = plain + brackets if n % 2 else plain
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
+            for sep in ",;":
+                got = _split_top(text, sep)
+                assert got == reference_split_top(text, sep), (text, sep)
+                split += len(got) > 1
+        assert split > 2000
+
+    def test_bracket_cases(self):
+        for text in ["", ",", "(1, 2), 3", "a)b,c(d", "[1,2];{3,4}", "1, 2, 3", "((,)),"]:
+            assert _split_top(text, ",") == reference_split_top(text, ",")
 
 
 class TestLoadSpec:

@@ -1,7 +1,11 @@
 """Parser, printer, substitution, desugaring and kind classification."""
 
+import os
+import pickle
 import re
-from dataclasses import dataclass
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, dataclass, fields, make_dataclass
 
 import numpy as np
 import pytest
@@ -459,3 +463,86 @@ class TestParseErrorLocation:
             with pytest.raises(ParseError) as e:
                 sx.parse(text)
             assert (e.value.line, e.value.column) == (3, column), text
+
+
+NODE_CLASSES = (Name, Var, VecLit, Origin, TSum, TSmul, TApp, ASym, AComp, AUnion, AStar,
+                Prop, Here, At, And, Not, QNot, Nec, Pos, Store, Imp, QImp, OPlus, UntilS)
+# plain frozen dataclasses with the same fields: their generated hash is the
+# field-tuple hash every node computed, recursively, before nodes cached it
+_MIRRORS = {cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
+            for cls in NODE_CLASSES}
+
+
+def _mirror(x):
+    if type(x) in _MIRRORS:
+        return _MIRRORS[type(x)](*(_mirror(getattr(x, f.name)) for f in fields(x)))
+    return x
+
+
+def _rebuild(x):
+    """A copy of x built afresh, node by node."""
+    if type(x) in _MIRRORS:
+        return type(x)(*(_rebuild(getattr(x, f.name)) for f in fields(x)))
+    return x
+
+
+def _nodes(x):
+    """x and every AST node below it."""
+    todo = [x]
+    while todo:
+        node = todo.pop()
+        if type(node) in _MIRRORS:
+            yield node
+            todo += [getattr(node, f.name) for f in fields(node)]
+
+
+def _hash_corpus():
+    rng = np.random.default_rng(44)
+    corpus = [random_sentence(rng, int(rng.integers(0, 6)), bound=()) for _ in range(300)]
+    corpus += [random_term(rng, 4, bound=("x",)) for _ in range(100)]
+    corpus.append(UntilS(AStar(ASym("u0")), Here(Var("x")), Pos(ASym("u1"), P)))
+    return corpus
+
+
+class TestHashOnce:
+    def test_equal_nodes_built_apart_hash_and_compare_equal(self):
+        for s in _hash_corpus():
+            for node in _nodes(s):
+                cached = hash(node)
+                again = _rebuild(node)
+                assert again is not node and again == node
+                assert hash(again) == cached == hash(node)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        seen = set()
+        for s in _hash_corpus():
+            for node in _nodes(s):
+                seen.add(type(node))
+                assert hash(node) == hash(_mirror(node))
+                assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields(node)))
+        assert seen == set(NODE_CLASSES)
+
+    def test_assignment_raises(self):
+        for s in _hash_corpus():
+            for node in _nodes(s):
+                hash(node)
+                for f in fields(node):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(node, f.name, None)
+
+    def test_pickled_node_is_found_under_another_hash_seed(self):
+        text = "@(u0(w0) + 2*m0(w1)) [u0 ; u1*] (p /\\ ~q)"
+        node = sx.parse(text)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(sx.__file__)))
+        child = ("import pickle, sys\n"
+                 "from hdql import syntax as sx\n"
+                 "loaded, fresh = pickle.loads(sys.stdin.buffer.read()), sx.parse(sys.argv[1])\n"
+                 "print({fresh: 'found'}.get(loaded), hash(loaded) == hash(fresh), hash(loaded))\n")
+        hash(node)  # the cached value must not travel with the pickle
+        out = subprocess.run([sys.executable, "-c", child, text], input=pickle.dumps(node),
+                             env=env, capture_output=True, check=True, timeout=60).stdout.split()
+        assert out[:2] == [b"found", b"True"]
+        assert int(out[2]) != hash(node)  # str hashes differ between the two seeds
+
