@@ -36,7 +36,7 @@ from .syntax import (AComp, ASym, AStar, AUnion, And, At, Imp, Nec, Origin,
 __all__ = [
     "RuleId", "Sequent", "ProofTree", "CheckResult", "ProveResult",
     "SearchBudget", "ProofSession", "check_proof", "prove", "used_premises",
-    "restrict_premises", "rename_proof", "proof_nodes",
+    "restrict_premises", "rename_proof", "proof_nodes", "walk_proof", "premise_hypotheses",
 ]
 
 
@@ -84,13 +84,41 @@ class ProofTree:
     certificate: "int | Morphism | None" = None
 
 
+def walk_proof(t: ProofTree, ctx=None, premise_ctx=lambda node, ctx: ctx):
+    """(node, ctx) for every node of the tree in pre-order, from an explicit
+    stack: the root has ``ctx``, the premises of a node ``premise_ctx(node, ctx)``."""
+    stack = [(t, ctx)]
+    while stack:
+        node, ctx = stack.pop()
+        yield node, ctx
+        ctx = premise_ctx(node, ctx)
+        stack += [(p, ctx) for p in reversed(node.premises)]
+
+
+def _rebuild_tree(t: ProofTree, conclusion, ctx=None,
+                  premise_ctx=lambda node, ctx: ctx) -> ProofTree:
+    """The tree rebuilt bottom-up, each node with ``conclusion(node, ctx)``."""
+    built: list[ProofTree] = []
+    for node, ctx in reversed(list(walk_proof(t, ctx, premise_ctx))):
+        n = len(node.premises)  # its premises were built last, in reverse
+        premises = tuple(reversed(built[len(built) - n:]))
+        del built[len(built) - n:]
+        built.append(ProofTree(conclusion(node, ctx), node.rule, premises, node.certificate))
+    return built[0]
+
+
+def premise_hypotheses(rule: RuleId, conclusion: Sequent) -> tuple[sx.Sentence, ...]:
+    """What a node's premises add to its clause set: Imp and ImpC discharge
+    their antecedent, at the node's term."""
+    goal = conclusion.goal
+    if rule in (RuleId.IMP, RuleId.IMP_C) and isinstance(goal, (Imp, QImp)):
+        return (At(conclusion.k, goal.left),)
+    return ()
+
+
 def proof_nodes(t: ProofTree):
     """Every node of the tree in pre-order, from an explicit stack."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += reversed(node.premises)
+    return (node for node, _ in walk_proof(t))
 
 
 @dataclass(frozen=True)
@@ -184,10 +212,7 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
             return _bad(path, "Translation: certificate must be a morphism")
         try:
             chi.validate()
-            p = prem[0].conclusion
-            from .signature import apply_morphism
-            renamed = Sequent(tuple(apply_morphism(chi, g) for g in p.gamma),
-                              apply_morphism(chi, p.k), apply_morphism(chi, p.goal))
+            renamed = _rename_sequent(chi, prem[0].conclusion)
         except Exception as e:
             return _bad(path, f"Translation: {e}")
         if renamed != t.conclusion:
@@ -498,21 +523,15 @@ class _Saturation:
 
         A subtree walked before is skipped: its subterms are all sites.
         """
-        stack = [term]
-        while stack:
-            sub = stack.pop()
-            if sub in self.walked:
-                continue
+        if term in self.walked:  # most calls, from queries on known terms
+            return
+        for sub in sx.walk(term, sx.TERM, self.walked.__contains__):
             cid = self.intern(sub)
             self.walked.add(sub)
             if cid not in self.sites:
                 self.sites[cid] = None
                 for s, builder in list(self.universal.items()):
                     self.queue.append(("inst", s, builder, self.class_terms[cid]))
-            if isinstance(sub, TSum):
-                stack += (sub.right, sub.left)
-            elif isinstance(sub, (TSmul, TApp)):
-                stack.append(sub.arg)
 
     # -- fact bookkeeping ---------------------------------------------------
     def _mono_builder(self, c: sx.Sentence):
@@ -983,42 +1002,26 @@ def prove(sig: SignatureInstance, gamma, k: sx.Term, goal: sx.Sentence,
 def used_premises(t: ProofTree) -> tuple[sx.Sentence, ...]:
     """The clause-set members actually consumed by Monotonicity nodes."""
     out: dict[sx.Sentence, None] = {}  # in pre-order of first use
-    stack = [(t, frozenset())]
-    while stack:
-        node, added = stack.pop()
+    for node, added in walk_proof(
+            t, (), lambda node, added: added + premise_hypotheses(node.rule, node.conclusion)):
         if node.rule is RuleId.MONOTONICITY and node.conclusion.goal not in added:
             out.setdefault(node.conclusion.goal)
-        if node.rule in (RuleId.IMP, RuleId.IMP_C):
-            added = added | {At(node.conclusion.k, node.conclusion.goal.left)}
-        stack += [(p, added) for p in reversed(node.premises)]
     return tuple(out)
 
 
 def restrict_premises(t: ProofTree, subset) -> ProofTree:
     """Rebuild the tree over a smaller root clause set."""
-    subset = tuple(subset)
+    return _rebuild_tree(
+        t, lambda node, gamma: Sequent(gamma, node.conclusion.k, node.conclusion.goal),
+        tuple(subset), lambda node, gamma: gamma + premise_hypotheses(node.rule, node.conclusion))
 
-    def rebuild(node: ProofTree, gamma: tuple[sx.Sentence, ...]) -> ProofTree:
-        seq = Sequent(gamma, node.conclusion.k, node.conclusion.goal)
-        if node.rule in (RuleId.IMP, RuleId.IMP_C):
-            hyp = At(node.conclusion.k, node.conclusion.goal.left)
-            premises = tuple(rebuild(p, gamma + (hyp,)) for p in node.premises)
-        else:
-            premises = tuple(rebuild(p, gamma) for p in node.premises)
-        return ProofTree(seq, node.rule, premises, node.certificate)
 
-    return rebuild(t, subset)
+def _rename_sequent(chi: Morphism, seq: Sequent) -> Sequent:
+    return Sequent(tuple(chi.rename(g) for g in seq.gamma), chi.rename(seq.k),
+                   chi.rename(seq.goal))
 
 
 def rename_proof(chi: Morphism, t: ProofTree) -> ProofTree:
     """Rename a whole derivation along an injective signature morphism."""
-    from .signature import apply_morphism
-
-    def go(node: ProofTree) -> ProofTree:
-        seq = Sequent(tuple(apply_morphism(chi, g) for g in node.conclusion.gamma),
-                      apply_morphism(chi, node.conclusion.k),
-                      apply_morphism(chi, node.conclusion.goal))
-        return ProofTree(seq, node.rule, tuple(go(p) for p in node.premises),
-                         node.certificate)
-
-    return go(t)
+    chi.validate()
+    return _rebuild_tree(t, lambda node, _: _rename_sequent(chi, node.conclusion))

@@ -8,14 +8,15 @@ and the kernel must accept every node.
 Exit codes: 0 every selected goal proved; 1 at least one goal definitely
 not provable; 2 some goal undetermined within budget (and none failed);
 64 usage errors; 65 malformed or invalid input data; 66 unreadable input
-file; 70 internal error (an emitted proof failed its own kernel check, or
-any other unexpected exception).
+file; 70 internal error (an emitted proof failed its own kernel check, the
+output stream was closed early, or any other unexpected exception).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass
 
@@ -220,7 +221,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else EXIT_USAGE
     try:
-        return _run(args, out)
+        code = _run(args, out)
+        out.flush()  # so that a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: write nothing more to it
+        if out is sys.stdout:  # and let the interpreter's final flush go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except Exception as e:  # every failure must end in a documented exit code
         print(f"internal error: {type(e).__name__}: {e}", file=out)
         return EXIT_INTERNAL

@@ -146,14 +146,6 @@ def orbit(model: QuantumModel, action: sx.Action, w: np.ndarray,
     return list(seen.rows), budget.max_iterations, False
 
 
-def _has_star(a: sx.Action) -> bool:
-    if isinstance(a, sx.AStar):
-        return True
-    if isinstance(a, (sx.AComp, sx.AUnion)):
-        return _has_star(a.left) or _has_star(a.right)
-    return False
-
-
 # ------------------------------------------------------- subspace evaluator
 
 def star_fixpoint(sig: SignatureInstance, body: sx.Action, start: Subspace,
@@ -229,23 +221,14 @@ def _ext(model: QuantumModel, s: sx.Sentence, budget: StarBudget) -> Subspace:
 
 def _reject_nonclosed_quantum_ops(sig: SignatureInstance, s: sx.Sentence) -> None:
     """Enforce that ~ and ~> only ever apply to closed sentences."""
-    if isinstance(s, sx.QNot):
-        if not classify_in(sig, s.body).is_closed:
+    for sub in sx.walk(s, sx.SENTENCE):
+        if isinstance(sub, sx.QNot) and not classify_in(sig, sub.body).is_closed:
             raise SemanticsError(
                 "quantum negation of a non-closed sentence is not "
-                f"subspace-representable: {sx.format_sentence(s.body)}")
-        _reject_nonclosed_quantum_ops(sig, s.body)
-    elif isinstance(s, sx.QImp):
-        if not classify_in(sig, s).is_closed:
+                f"subspace-representable: {sx.format_sentence(sub.body)}")
+        if isinstance(sub, sx.QImp) and not classify_in(sig, sub).is_closed:
             raise SemanticsError(
-                f"Sasaki hook between non-closed sentences: {sx.format_sentence(s)}")
-        _reject_nonclosed_quantum_ops(sig, s.left)
-        _reject_nonclosed_quantum_ops(sig, s.right)
-    elif isinstance(s, (sx.And, sx.Imp)):
-        _reject_nonclosed_quantum_ops(sig, s.left)
-        _reject_nonclosed_quantum_ops(sig, s.right)
-    elif isinstance(s, (sx.Not, sx.Nec, sx.Store, sx.At)):
-        _reject_nonclosed_quantum_ops(sig, s.body)
+                f"Sasaki hook between non-closed sentences: {sx.format_sentence(sub)}")
 
 
 def sat_at(model: QuantumModel, w: np.ndarray, s: sx.Sentence,
@@ -287,7 +270,7 @@ def _sat(model: QuantumModel, w: np.ndarray, s: sx.Sentence,
     if isinstance(s, sx.Nec):
         # exact subspace route for star over unitary actions in the closed
         # fragment; orbit enumeration otherwise
-        if _has_star(s.action) and classify_in(sig, s).is_closed:
+        if sx.AStar in map(type, sx.walk(s.action, sx.ACTION)) and classify_in(sig, s).is_closed:
             return hl.member(_ext(model, s, budget), w, sig.tol)
         succ = successors(model, s.action, w, budget)
         for v in succ.vectors:

@@ -204,6 +204,15 @@ class Morphism:
         except KeyError:
             raise MorphismError(f"unmapped vector constant {name!r}") from None
 
+    def rename(self, x):
+        """The renaming of a term, action or sentence, without validating."""
+        return sx.fold(x, {
+            sx.Name: lambda t, kids: sx.Name(self.map_vector(t.name)),
+            sx.TApp: lambda t, kids: sx.TApp(self.map_action_symbol(t.sym), kids[0]),
+            sx.ASym: lambda a, kids: sx.ASym(self.map_action_symbol(a.name)),
+            sx.Prop: lambda s, kids: sx.Prop(self.map_prop(s.name)),
+        })
+
 
 def identity_morphism(sig: SignatureInstance) -> Morphism:
     return Morphism(sig, sig,
@@ -213,70 +222,12 @@ def identity_morphism(sig: SignatureInstance) -> Morphism:
                     {p: p for p in sig.props})
 
 
-def _rename_term(chi: Morphism, k: sx.Term) -> sx.Term:
-    if isinstance(k, sx.Name):
-        return sx.Name(chi.map_vector(k.name))
-    if isinstance(k, sx.TSum):
-        return sx.TSum(_rename_term(chi, k.left), _rename_term(chi, k.right))
-    if isinstance(k, sx.TSmul):
-        return sx.TSmul(k.scalar, _rename_term(chi, k.arg))
-    if isinstance(k, sx.TApp):
-        return sx.TApp(chi.map_action_symbol(k.sym), _rename_term(chi, k.arg))
-    return k
-
-
-def _rename_action(chi: Morphism, a: sx.Action) -> sx.Action:
-    if isinstance(a, sx.ASym):
-        return sx.ASym(chi.map_action_symbol(a.name))
-    if isinstance(a, sx.AComp):
-        return sx.AComp(_rename_action(chi, a.left), _rename_action(chi, a.right))
-    if isinstance(a, sx.AUnion):
-        return sx.AUnion(_rename_action(chi, a.left), _rename_action(chi, a.right))
-    return sx.AStar(_rename_action(chi, a.body))
-
-
-def _rename_sentence(chi: Morphism, s: sx.Sentence) -> sx.Sentence:
-    if isinstance(s, sx.Prop):
-        return sx.Prop(chi.map_prop(s.name))
-    if isinstance(s, sx.Here):
-        return sx.Here(_rename_term(chi, s.term))
-    if isinstance(s, sx.At):
-        return sx.At(_rename_term(chi, s.term), _rename_sentence(chi, s.body))
-    if isinstance(s, sx.And):
-        return sx.And(_rename_sentence(chi, s.left), _rename_sentence(chi, s.right))
-    if isinstance(s, sx.Imp):
-        return sx.Imp(_rename_sentence(chi, s.left), _rename_sentence(chi, s.right))
-    if isinstance(s, sx.QImp):
-        return sx.QImp(_rename_sentence(chi, s.left), _rename_sentence(chi, s.right))
-    if isinstance(s, sx.OPlus):
-        return sx.OPlus(_rename_sentence(chi, s.left), _rename_sentence(chi, s.right))
-    if isinstance(s, sx.Not):
-        return sx.Not(_rename_sentence(chi, s.body))
-    if isinstance(s, sx.QNot):
-        return sx.QNot(_rename_sentence(chi, s.body))
-    if isinstance(s, sx.Nec):
-        return sx.Nec(_rename_action(chi, s.action), _rename_sentence(chi, s.body))
-    if isinstance(s, sx.Pos):
-        return sx.Pos(_rename_action(chi, s.action), _rename_sentence(chi, s.body))
-    if isinstance(s, sx.Store):
-        return sx.Store(s.var, _rename_sentence(chi, s.body))
-    if isinstance(s, sx.UntilS):
-        return sx.UntilS(_rename_action(chi, s.action),
-                         _rename_sentence(chi, s.first),
-                         _rename_sentence(chi, s.second))
-    raise TypeError(f"not a sentence: {s!r}")
-
-
 def apply_morphism(chi: Morphism, x):
     """Homomorphic renaming of a term, action, sentence, or proof tree."""
-    chi.validate()
-    if isinstance(x, sx.Sentence):
-        return _rename_sentence(chi, x)
-    if isinstance(x, sx.Action):
-        return _rename_action(chi, x)
-    if isinstance(x, sx.Term):
-        return _rename_term(chi, x)
     from .calculus import ProofTree, rename_proof
     if isinstance(x, ProofTree):
         return rename_proof(chi, x)
-    raise TypeError(f"cannot apply a morphism to {type(x).__name__}")
+    chi.validate()
+    if not isinstance(x, sx.Term | sx.Action | sx.Sentence):
+        raise TypeError(f"cannot apply a morphism to {type(x).__name__}")
+    return chi.rename(x)

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hilbert as hl
 from . import syntax as sx
-from .calculus import ProofTree, RuleId, Sequent
+from .calculus import ProofTree, RuleId, Sequent, premise_hypotheses, walk_proof
 from .errors import HdqlError, ParseError
 from .hilbert import DEFAULT_TOL, Subspace
 from .semantics import FiniteVectors, QuantumModel, Region
@@ -350,14 +350,11 @@ def valuation_model(spec: LoadedSpec) -> QuantumModel:
 
 def _records(tree: ProofTree):
     """Pre-order records of a proof tree; an explicit stack, so any depth."""
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for node, depth in walk_proof(tree, 0, lambda node, depth: depth + 1):
         cert = node.certificate
         yield (depth, node.rule.value, sx.format_term(node.conclusion.k),
                sx.format_sentence(node.conclusion.goal),
                cert if isinstance(cert, int) else None)
-        stack += [(p, depth + 1) for p in reversed(node.premises)]
 
 
 def serialize_trace(gamma, tree: ProofTree) -> str:
@@ -389,13 +386,6 @@ _RULES_BY_NAME = {r.value: r for r in RuleId}
 _CERT_SUFFIX = re.compile(r"(.*) \[n=(\d+)\]")
 
 
-def _child_gamma(rule: RuleId, conclusion: Sequent) -> tuple[sx.Sentence, ...]:
-    goal = conclusion.goal
-    if rule in (RuleId.IMP, RuleId.IMP_C) and isinstance(goal, (sx.Imp, sx.QImp)):
-        return conclusion.gamma + (sx.At(conclusion.k, goal.left),)
-    return conclusion.gamma
-
-
 def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     """Rebuild (clause set, proof tree) from pre-order records.
 
@@ -422,7 +412,8 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
             raise HdqlError(f"node {n}: unknown rule {rule_name!r}")
         conclusion = Sequent(open_[-1][4] if open_ else gamma,
                              term(term_text), sentence(goal_text))
-        open_.append((rule, conclusion, cert, [], _child_gamma(rule, conclusion)))
+        open_.append((rule, conclusion, cert, [],
+                      conclusion.gamma + premise_hypotheses(rule, conclusion)))
     while open_:
         close()
     if not roots:

@@ -2,7 +2,12 @@
 
 AST nodes are immutable, slotted dataclasses that compare by structure and
 compute their hash once: the first ``hash`` walks the fields, later ones
-read a slot, so keying a dict by a deep term costs no tree walk.
+read a slot, so keying a dict by a deep term costs no tree walk. Each node
+class records which fields hold terms, actions or sentences, and every
+traversal goes through those child fields with one of two routines on
+explicit stacks, so depth is not bounded by the recursion limit: ``walk``
+yields nodes in pre-order, and ``fold`` computes a value bottom-up from a
+table with one entry per node class.
 
 Concrete grammar (ASCII), loosest binding first::
 
@@ -41,7 +46,8 @@ newlines; ``#`` starts a comment that runs to the end of the line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import product
 
 from .errors import ParseError
 
@@ -55,6 +61,7 @@ __all__ = [
     "substitute", "substitute_term", "desugar", "sasaki_expansion",
     "classify", "is_unitary_action", "free_vars", "term_vars", "is_ground",
     "sentence_terms", "subterms", "action_symbols", "sentence_symbols",
+    "walk", "fold", "TERM", "ACTION", "SENTENCE", "ALL",
 ]
 
 
@@ -65,15 +72,27 @@ class _Node:
     __slots__ = ("_hash",)
 
 
+# the sorts of child fields, as bits: a traversal names the sorts it descends
+TERM, ACTION, SENTENCE = 1, 2, 4
+ALL = TERM | ACTION | SENTENCE
+_SORT_OF = {"Term": TERM, "Action": ACTION, "Sentence": SENTENCE}
+
+
 def _node(cls):
     """Make an AST node class a frozen, slotted dataclass that hashes once.
 
     The hash is the dataclass's generated field-tuple hash, stored in the
     ``_hash`` slot on first use, so a dict lookup no longer walks the tree.
     Pickling and copying carry the fields only: a node loaded under another
-    ``PYTHONHASHSEED`` computes its hash afresh.
+    ``PYTHONHASHSEED`` computes its hash afresh. ``_kids[sorts]`` names the
+    child fields of the given sorts; ``_push[sorts]`` in stack order.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    sorts = [_SORT_OF.get(f.type, 0) for f in fields(cls)]
+    cls._kids = tuple(tuple(name for name, sort in zip(cls._fields, sorts) if sort & mask)
+                      for mask in range(ALL + 1))
+    cls._push = tuple(names[::-1] for names in cls._kids)
     field_hash = cls.__hash__
 
     def __hash__(self):
@@ -115,21 +134,21 @@ class Origin(_Node):
 
 @_node
 class TSum(_Node):
-    left: "Term"
-    right: "Term"
+    left: Term
+    right: Term
 
 
 @_node
 class TSmul(_Node):
     scalar: complex
-    arg: "Term"
+    arg: Term
 
 
 @_node
 class TApp(_Node):
     """Application of a unitary or measurement symbol."""
     sym: str
-    arg: "Term"
+    arg: Term
 
 
 Term = Name | Var | VecLit | Origin | TSum | TSmul | TApp
@@ -145,19 +164,19 @@ class ASym(_Node):
 
 @_node
 class AComp(_Node):
-    left: "Action"
-    right: "Action"
+    left: Action
+    right: Action
 
 
 @_node
 class AUnion(_Node):
-    left: "Action"
-    right: "Action"
+    left: Action
+    right: Action
 
 
 @_node
 class AStar(_Node):
-    body: "Action"
+    body: Action
 
 
 Action = ASym | AComp | AUnion | AStar
@@ -184,79 +203,150 @@ class Here(_Node):
 class At(_Node):
     """Retrieve: evaluate the body at the state named by the term."""
     term: Term
-    body: "Sentence"
+    body: Sentence
 
 
 @_node
 class And(_Node):
-    left: "Sentence"
-    right: "Sentence"
+    left: Sentence
+    right: Sentence
 
 
 @_node
 class Not(_Node):
     """Classical negation."""
-    body: "Sentence"
+    body: Sentence
 
 
 @_node
 class QNot(_Node):
     """Quantum negation: orthocomplement of the extension."""
-    body: "Sentence"
+    body: Sentence
 
 
 @_node
 class Nec(_Node):
     """Necessity along an action."""
     action: Action
-    body: "Sentence"
+    body: Sentence
 
 
 @_node
 class Pos(_Node):
     """Possibility; sugar for 'not nec not'."""
     action: Action
-    body: "Sentence"
+    body: Sentence
 
 
 @_node
 class Store(_Node):
     """Bind the current state to a variable."""
     var: str
-    body: "Sentence"
+    body: Sentence
 
 
 @_node
 class Imp(_Node):
     """Classical implication; kept primitive for the proof rules."""
-    left: "Sentence"
-    right: "Sentence"
+    left: Sentence
+    right: Sentence
 
 
 @_node
 class QImp(_Node):
     """Sasaki hook; kept primitive for the proof rules."""
-    left: "Sentence"
-    right: "Sentence"
+    left: Sentence
+    right: Sentence
 
 
 @_node
 class OPlus(_Node):
     """Quantum disjunction; sugar."""
-    left: "Sentence"
-    right: "Sentence"
+    left: Sentence
+    right: Sentence
 
 
 @_node
 class UntilS(_Node):
     """Until along an action; sugar."""
     action: Action
-    first: "Sentence"
-    second: "Sentence"
+    first: Sentence
+    second: Sentence
 
 
 Sentence = (Prop | Here | At | And | Not | QNot | Nec | Pos | Store
             | Imp | QImp | OPlus | UntilS)
+
+
+# ------------------------------------------------------------ traversal
+
+def walk(node, sorts: int = ALL, prune=None):
+    """The node and those below it through children of the given sorts, in
+    pre-order; a node for which ``prune`` is true is left out with its subtree."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if prune is not None and prune(n):
+            continue
+        yield n
+        for name in n._push[sorts]:
+            stack.append(getattr(n, name))
+
+
+def fold(node, table, sorts: int = ALL, before=None):
+    """Fold the node bottom-up through its children of the given sorts.
+
+    ``table[cls](n, kids)`` is the value of a node ``n`` of class ``cls``, given
+    the values ``kids`` of its children in field order. A class with no entry
+    keeps ``n`` when every child's value is that child, and is rebuilt from
+    the values otherwise. ``before[cls](n)`` runs ahead of the children: it
+    returns the value of ``n`` early, or None to fold ``n`` as usual.
+    """
+    if not node._push[sorts] and (before is None or type(node) not in before):
+        entry = table.get(type(node))  # a leaf needs no stacks
+        return node if entry is None else entry(node, [])
+    todo, vals = [node], []
+    while todo:
+        n = todo.pop()
+        if n is None:  # the children of the node below are folded
+            n = todo.pop()
+            names = n._kids[sorts]
+            entry = table.get(type(n))
+            if len(names) == 1:  # the common case, without slicing or zip
+                kid = vals.pop()
+                if entry is not None:
+                    vals.append(entry(n, [kid]))
+                else:
+                    vals.append(n if kid is getattr(n, names[0]) else _rebuild(n, names, [kid]))
+                continue
+            kids = vals[-len(names):]
+            del vals[-len(names):]
+            if entry is not None:
+                vals.append(entry(n, kids))
+            elif all(kid is getattr(n, name) for kid, name in zip(kids, names)):
+                vals.append(n)
+            else:
+                vals.append(_rebuild(n, names, kids))
+            continue
+        if before is not None and type(n) in before:
+            value = before[type(n)](n)
+            if value is not None:
+                vals.append(value)
+                continue
+        names = n._push[sorts]
+        if names:
+            todo += (n, None)
+            for name in names:
+                todo.append(getattr(n, name))
+        else:
+            entry = table.get(type(n))
+            vals.append(n if entry is None else entry(n, []))
+    return vals[0]
+
+
+def _rebuild(n, names, kids):
+    new = dict(zip(names, kids))
+    return type(n)(*[new[f] if f in new else getattr(n, f) for f in n._fields])
 
 
 # ---------------------------------------------------------------- lexer
@@ -690,37 +780,22 @@ def format_sentence(s: Sentence, level: int = 0) -> str:
 # --------------------------------------------------- variables and scope
 
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (TSum,)):
-        return term_vars(t.left) | term_vars(t.right)
-    if isinstance(t, (TSmul, TApp)):
-        return term_vars(t.arg)
-    return set()
+    return {n.name for n in walk(t, TERM) if type(n) is Var}
 
 
 def is_ground(t: Term) -> bool:
-    return not term_vars(t)
+    return not any(type(n) is Var for n in walk(t, TERM))
+
+
+# a sentence has the free variables of its children; Store binds one, and
+# Here and At add those of their term (frozensets, shared between nodes)
+_FREE_VARS = dict.fromkeys(Sentence.__args__, lambda s, kids: frozenset().union(*kids)) | {
+    Store: lambda s, kids: kids[0] - {s.var},
+} | dict.fromkeys((Here, At), lambda s, kids: frozenset(term_vars(s.term)).union(*kids))
 
 
 def free_vars(s: Sentence) -> set[str]:
-    if isinstance(s, Prop):
-        return set()
-    if isinstance(s, Here):
-        return term_vars(s.term)
-    if isinstance(s, At):
-        return term_vars(s.term) | free_vars(s.body)
-    if isinstance(s, (And, Imp, QImp, OPlus)):
-        return free_vars(s.left) | free_vars(s.right)
-    if isinstance(s, (Not, QNot)):
-        return free_vars(s.body)
-    if isinstance(s, (Nec, Pos)):
-        return free_vars(s.body)
-    if isinstance(s, Store):
-        return free_vars(s.body) - {s.var}
-    if isinstance(s, UntilS):
-        return free_vars(s.first) | free_vars(s.second)
-    raise TypeError(f"not a sentence: {s!r}")
+    return set(fold(s, _FREE_VARS, SENTENCE))
 
 
 def _fresh(base: str, avoid: set[str]) -> str:
@@ -730,55 +805,24 @@ def _fresh(base: str, avoid: set[str]) -> str:
     return name
 
 
-def substitute_term(t: Term, var: str, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.name == var else t
-    if isinstance(t, TSum):
-        return TSum(substitute_term(t.left, var, repl), substitute_term(t.right, var, repl))
-    if isinstance(t, TSmul):
-        return TSmul(t.scalar, substitute_term(t.arg, var, repl))
-    if isinstance(t, TApp):
-        return TApp(t.sym, substitute_term(t.arg, var, repl))
-    return t
-
-
 def substitute(s: Sentence, var: str, repl: Term) -> Sentence:
-    """Capture-avoiding substitution of a term for a free variable."""
-    if isinstance(s, Prop):
-        return s
-    if isinstance(s, Here):
-        return Here(substitute_term(s.term, var, repl))
-    if isinstance(s, At):
-        return At(substitute_term(s.term, var, repl), substitute(s.body, var, repl))
-    if isinstance(s, And):
-        return And(substitute(s.left, var, repl), substitute(s.right, var, repl))
-    if isinstance(s, Imp):
-        return Imp(substitute(s.left, var, repl), substitute(s.right, var, repl))
-    if isinstance(s, QImp):
-        return QImp(substitute(s.left, var, repl), substitute(s.right, var, repl))
-    if isinstance(s, OPlus):
-        return OPlus(substitute(s.left, var, repl), substitute(s.right, var, repl))
-    if isinstance(s, Not):
-        return Not(substitute(s.body, var, repl))
-    if isinstance(s, QNot):
-        return QNot(substitute(s.body, var, repl))
-    if isinstance(s, Nec):
-        return Nec(s.action, substitute(s.body, var, repl))
-    if isinstance(s, Pos):
-        return Pos(s.action, substitute(s.body, var, repl))
-    if isinstance(s, UntilS):
-        return UntilS(s.action, substitute(s.first, var, repl),
-                      substitute(s.second, var, repl))
-    if isinstance(s, Store):
+    """Capture-avoiding substitution of a term for a free variable, in a
+    sentence or a term."""
+    def binder(s: Store):
         if s.var == var:
             return s
-        if s.var in term_vars(repl) and var in free_vars(s.body):
+        if s.var in (repl_vars := term_vars(repl)) and var in free_vars(s.body):
             # the binder would capture a variable of repl: rename it first
-            renamed = _fresh(s.var, term_vars(repl) | free_vars(s.body) | {var})
+            renamed = _fresh(s.var, repl_vars | free_vars(s.body) | {var})
             body = substitute(s.body, s.var, Var(renamed))
             return Store(renamed, substitute(body, var, repl))
-        return Store(s.var, substitute(s.body, var, repl))
-    raise TypeError(f"not a sentence: {s!r}")
+        return None
+
+    return fold(s, {Var: lambda t, kids: repl if t.name == var else t}, TERM | SENTENCE,
+                {Store: binder})
+
+
+substitute_term = substitute  # the name callers use on terms
 
 
 # ------------------------------------------------------------- desugaring
@@ -788,39 +832,26 @@ def sasaki_expansion(left: Sentence, right: Sentence) -> Sentence:
     return QNot(And(left, QNot(And(left, right))))
 
 
+def _desugar_until(s: UntilS, kids) -> Sentence:
+    g1, g2 = kids
+    avoid = free_vars(g1) | free_vars(g2)
+    x = _fresh("x", avoid)
+    y = _fresh("y", avoid | {x})
+    reach_y = Not(Nec(s.action, Not(Here(Var(y)))))
+    inner = And(g1, At(Var(x), Nec(s.action, Imp(reach_y, g2))))
+    return Store(x, Not(Nec(s.action, Not(Store(y, inner)))))
+
+
+_DESUGAR = {
+    Pos: lambda s, kids: Not(Nec(s.action, Not(kids[0]))),
+    OPlus: lambda s, kids: QNot(And(QNot(kids[0]), QNot(kids[1]))),
+    UntilS: _desugar_until,
+}
+
+
 def desugar(s: Sentence) -> Sentence:
     """Expand possibility, quantum disjunction and until; keep => and ~>."""
-    if isinstance(s, (Prop, Here)):
-        return s
-    if isinstance(s, At):
-        return At(s.term, desugar(s.body))
-    if isinstance(s, And):
-        return And(desugar(s.left), desugar(s.right))
-    if isinstance(s, Imp):
-        return Imp(desugar(s.left), desugar(s.right))
-    if isinstance(s, QImp):
-        return QImp(desugar(s.left), desugar(s.right))
-    if isinstance(s, Not):
-        return Not(desugar(s.body))
-    if isinstance(s, QNot):
-        return QNot(desugar(s.body))
-    if isinstance(s, Nec):
-        return Nec(s.action, desugar(s.body))
-    if isinstance(s, Store):
-        return Store(s.var, desugar(s.body))
-    if isinstance(s, Pos):
-        return Not(Nec(s.action, Not(desugar(s.body))))
-    if isinstance(s, OPlus):
-        return QNot(And(QNot(desugar(s.left)), QNot(desugar(s.right))))
-    if isinstance(s, UntilS):
-        g1, g2 = desugar(s.first), desugar(s.second)
-        avoid = free_vars(g1) | free_vars(g2)
-        x = _fresh("x", avoid)
-        y = _fresh("y", avoid | {x})
-        reach_y = Not(Nec(s.action, Not(Here(Var(y)))))
-        inner = And(g1, At(Var(x), Nec(s.action, Imp(reach_y, g2))))
-        return Store(x, Not(Nec(s.action, Not(Store(y, inner)))))
-    raise TypeError(f"not a sentence: {s!r}")
+    return fold(s, _DESUGAR, SENTENCE)
 
 
 # ----------------------------------------------------------- classification
@@ -836,134 +867,68 @@ class Kind:
         return self.is_closed and self.is_quantum_clause
 
 
-_NOTHING = Kind(False, False, False)
+# every kind, built once: constructing a frozen dataclass costs a microsecond
+_KINDS = {flags: Kind(*flags) for flags in product((False, True), repeat=3)}
+_NOTHING = _KINDS[False, False, False]
 
 
 def action_symbols(a: Action) -> set[str]:
-    if isinstance(a, ASym):
-        return {a.name}
-    if isinstance(a, AStar):
-        return action_symbols(a.body)
-    return action_symbols(a.left) | action_symbols(a.right)
+    return {n.name for n in walk(a, ACTION) if type(n) is ASym}
 
 
 def is_unitary_action(a: Action, measurements: frozenset[str] | set[str]) -> bool:
     """True iff the action is free of quantum measurement symbols."""
-    return not (action_symbols(a) & set(measurements))
+    return action_symbols(a).isdisjoint(measurements)
+
+
+# an entry per sentence class whose kind depends on its children, but Nec,
+# which needs the signature; sugar gets the kind of its expansion
+_CLASSIFY = dict.fromkeys((At, Store), lambda s, kids: _KINDS[
+    kids[0].is_basic, False, kids[0].is_quantum_clause]) | {
+    And: lambda s, kids: _KINDS[kids[0].is_basic and kids[1].is_basic,
+                                kids[0].is_closed and kids[1].is_closed,
+                                kids[0].is_quantum_clause and kids[1].is_quantum_clause],
+    QNot: lambda s, kids: _KINDS[False, kids[0].is_closed, False],
+    Imp: lambda s, kids: _KINDS[False, False, kids[0].is_basic and kids[1].is_quantum_clause],
+    QImp: lambda s, kids: _KINDS[False, kids[0].is_closed and kids[1].is_closed,
+                                 kids[0].is_closed and kids[0].is_basic
+                                 and kids[1].is_closed and kids[1].is_quantum_clause],
+    OPlus: lambda s, kids: _KINDS[False, kids[0].is_closed and kids[1].is_closed, False],
+}
+# these kinds do not depend on the children, which are not visited
+_CLASSIFY_EARLY = dict.fromkeys((Here, Not, Pos, UntilS), lambda s: _NOTHING)
 
 
 def classify(s: Sentence, closed_props: frozenset[str] | set[str],
              measurements: frozenset[str] | set[str]) -> Kind:
     """Kind flags exactly matching the basic / closed / clause grammars.
 
-    Sugar is expanded first, so e.g. a quantum disjunction of closed
-    sentences classifies as closed.
+    Sugar classifies as its expansion, so e.g. a quantum disjunction of
+    closed sentences classifies as closed.
     """
-    s = desugar(s)
-
-    def go(s: Sentence) -> Kind:
-        if isinstance(s, Prop):
-            return Kind(True, s.name in closed_props, True)
-        if isinstance(s, Here):
-            return _NOTHING
-        if isinstance(s, At):
-            k = go(s.body)
-            return Kind(k.is_basic, False, k.is_quantum_clause)
-        if isinstance(s, Store):
-            k = go(s.body)
-            return Kind(k.is_basic, False, k.is_quantum_clause)
-        if isinstance(s, And):
-            l, r = go(s.left), go(s.right)
-            return Kind(l.is_basic and r.is_basic,
-                        l.is_closed and r.is_closed,
-                        l.is_quantum_clause and r.is_quantum_clause)
-        if isinstance(s, Not):
-            go(s.body)
-            return _NOTHING
-        if isinstance(s, QNot):
-            return Kind(False, go(s.body).is_closed, False)
-        if isinstance(s, Nec):
-            k = go(s.body)
-            unitary = is_unitary_action(s.action, measurements)
-            return Kind(k.is_basic, k.is_closed and unitary, k.is_quantum_clause)
-        if isinstance(s, Imp):
-            l, r = go(s.left), go(s.right)
-            return Kind(False, False, l.is_basic and r.is_quantum_clause)
-        if isinstance(s, QImp):
-            l, r = go(s.left), go(s.right)
-            clause = (l.is_closed and l.is_basic
-                      and r.is_closed and r.is_quantum_clause)
-            return Kind(False, l.is_closed and r.is_closed, clause)
-        raise TypeError(f"not a desugared sentence: {s!r}")
-
-    return go(s)
+    table = _CLASSIFY | {
+        Prop: lambda s, kids: _KINDS[True, s.name in closed_props, True],
+        Nec: lambda s, kids: _KINDS[
+            kids[0].is_basic, kids[0].is_closed and is_unitary_action(s.action, measurements),
+            kids[0].is_quantum_clause],
+    }
+    return fold(s, table, SENTENCE, _CLASSIFY_EARLY)
 
 
 # --------------------------------------------------------- term harvesting
 
 def subterms(t: Term):
-    yield t
-    if isinstance(t, TSum):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-    elif isinstance(t, (TSmul, TApp)):
-        yield from subterms(t.arg)
+    return walk(t, TERM)
 
 
 def sentence_terms(s: Sentence):
-    """All term occurrences (with their subterms) in a sentence."""
-    if isinstance(s, Here):
-        yield from subterms(s.term)
-    elif isinstance(s, At):
-        yield from subterms(s.term)
-        yield from sentence_terms(s.body)
-    elif isinstance(s, (And, Imp, QImp, OPlus)):
-        yield from sentence_terms(s.left)
-        yield from sentence_terms(s.right)
-    elif isinstance(s, (Not, QNot)):
-        yield from sentence_terms(s.body)
-    elif isinstance(s, (Nec, Pos, Store)):
-        yield from sentence_terms(s.body)
-    elif isinstance(s, UntilS):
-        yield from sentence_terms(s.first)
-        yield from sentence_terms(s.second)
+    """All term occurrences (with their subterms) in a sentence, in pre-order."""
+    return (n for n in walk(s, TERM | SENTENCE) if isinstance(n, Term))
 
 
 def sentence_symbols(s: Sentence) -> tuple[set[str], set[str], set[str]]:
     """(prop symbols, action symbols, named vector constants) used in s."""
-    props: set[str] = set()
-    acts: set[str] = set()
-    names: set[str] = set()
-
-    def go_term(t: Term):
-        for sub in subterms(t):
-            if isinstance(sub, Name):
-                names.add(sub.name)
-            elif isinstance(sub, TApp):
-                acts.add(sub.sym)
-
-    def go(s: Sentence):
-        if isinstance(s, Prop):
-            props.add(s.name)
-        elif isinstance(s, Here):
-            go_term(s.term)
-        elif isinstance(s, At):
-            go_term(s.term)
-            go(s.body)
-        elif isinstance(s, (And, Imp, QImp, OPlus)):
-            go(s.left)
-            go(s.right)
-        elif isinstance(s, (Not, QNot)):
-            go(s.body)
-        elif isinstance(s, (Nec, Pos)):
-            acts.update(action_symbols(s.action))
-            go(s.body)
-        elif isinstance(s, Store):
-            go(s.body)
-        elif isinstance(s, UntilS):
-            acts.update(action_symbols(s.action))
-            go(s.first)
-            go(s.second)
-
-    go(s)
-    return props, acts, names
+    nodes = list(walk(s))
+    return ({n.name for n in nodes if type(n) is Prop},
+            {n.name for n in nodes if type(n) is ASym} | {n.sym for n in nodes if type(n) is TApp},
+            {n.name for n in nodes if type(n) is Name})

@@ -501,3 +501,79 @@ class TestSitesAndMemo:
             assert np.array_equal(v, sg.eval_term(sig, t)), sx.format_term(t)
         for t in terms:
             assert np.array_equal(session.vector(t), sg.eval_term(sig, t))
+
+
+# ------------------------------------------- proof rebuilds on explicit stacks
+
+def _renaming(sig):
+    """A copy of sig with every symbol primed, and the morphism onto it."""
+    target = sg.SignatureInstance(
+        dim=sig.dim,
+        unitaries={f"{u}'": m for u, m in sig.unitaries.items()},
+        measurements={f"{q}'": s for q, s in sig.measurements.items()},
+        named_vectors={f"{v}'": w for v, w in sig.named_vectors.items()},
+        props=frozenset(f"{p}'" for p in sig.props),
+        closed_props=frozenset(f"{p}'" for p in sig.closed_props))
+    return target, sg.Morphism(sig, target,
+                               unitaries={u: f"{u}'" for u in sig.unitaries},
+                               measurements={q: f"{q}'" for q in sig.measurements},
+                               vectors={v: f"{v}'" for v in sig.named_vectors},
+                               props={p: f"{p}'" for p in sig.props})
+
+
+def _rows(tree):
+    return [(n.rule, n.conclusion, n.certificate, len(n.premises)) for n in proof_nodes(tree)]
+
+
+def _sample_proofs(teleport):
+    sig, axioms, start, goal = teleport
+    proofs = [(sig, prove(sig, axioms, start, goal).tree)]
+    qsig = qubit_sig()
+    for gamma, k, goal in [
+            (["p => q", "p"], "v0", "q /\\ p"),
+            (["r", "@(v1) q"], "v0", "(@(v0) p) => (q => r)"),
+            (["q", "r2"], "v0", "(@(v0) p) => (p /\\ q)"),
+            (["@(v0) p", "@(v1) q", "[h ; x] r"], "v0", "[h] [x] r /\\ [h ; x] r")]:
+        result = prove(qsig, [parse(c) for c in gamma], parse_term(k), parse(goal))
+        assert result.holds, goal
+        proofs.append((qsig, result.tree))
+    return proofs
+
+
+class TestProofRebuilds:
+    def test_rename_proof_on_a_3000_deep_chain(self):
+        target, chi = _renaming(qubit_sig())
+        renamed = calculus.rename_proof(chi, eq_chain(3000))
+        nodes = list(proof_nodes(renamed))
+        assert [n.rule for n in nodes] == [RuleId.EQ] * 3000 + [RuleId.MONOTONICITY]
+        assert {n.conclusion for n in nodes} == {
+            Sequent((Prop("p'"),), Name("v0'"), Prop("p'"))}
+
+    def test_restrict_premises_on_a_3000_deep_chain(self):
+        again = restrict_premises(eq_chain(3000), [Prop("p"), Prop("q")])
+        nodes = list(proof_nodes(again))
+        assert [n.rule for n in nodes] == [RuleId.EQ] * 3000 + [RuleId.MONOTONICITY]
+        assert {n.conclusion.gamma for n in nodes} == {(Prop("p"), Prop("q"))}
+
+    def test_same_trees_as_the_recursive_versions(self, teleport):
+        import reference_traversals as ref
+        proofs = _sample_proofs(teleport)
+        assert any(n.rule is RuleId.IMP for _, t in proofs for n in proof_nodes(t))
+        for sig, tree in proofs:
+            _, chi = _renaming(sig)
+            assert _rows(calculus.rename_proof(chi, tree)) == _rows(ref.rename_proof(chi, tree))
+            assert _rows(sg.apply_morphism(chi, tree)) == _rows(ref.rename_proof(chi, tree))
+            used = used_premises(tree)
+            again = restrict_premises(tree, used)
+            assert _rows(again) == _rows(ref.restrict_premises(tree, used))
+            assert check_proof(sig, again).ok
+
+    def test_rename_proof_validates_the_morphism_once(self, teleport, monkeypatch):
+        sig, tree = _sample_proofs(teleport)[0]
+        _, chi = _renaming(sig)
+        calls = []
+        validate = sg.Morphism.validate
+        monkeypatch.setattr(sg.Morphism, "validate",
+                            lambda self: calls.append(1) or validate(self))
+        calculus.rename_proof(chi, tree)
+        assert len(calls) == 1

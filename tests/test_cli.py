@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -341,3 +342,35 @@ class TestArgumentParser:
         assert run(["--help"])[0] == 0
         assert "usage: hdql" in capsys.readouterr().out
         assert run(["check", str(path), "--goal", "2"])[0] == 1
+
+
+class TestClosedOutput:
+    def test_reader_closing_the_pipe_exits_70_silently(self, tmp_path):
+        # 3,000 goal lines overflow the pipe, so hdql is still writing when
+        # the reader goes away after one line
+        path = tmp_path / "many.hdql"
+        path.write_text(SMALL.replace("GOAL AT v0 PROVE q\n",
+                                      "GOAL AT v0 PROVE q\n" * 3000))
+        proc = subprocess.Popen([sys.executable, "-m", "hdql", "initial", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 70
+        assert first.startswith(b"term universe: ")
+        assert stderr == b""
+
+    def test_reader_gone_before_a_short_output_exits_70_silently(self, tmp_path):
+        # the output fits the buffer, so it is only written at the end
+        path = tmp_path / "small.hdql"
+        path.write_text(SMALL)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "hdql", "check", str(path)],
+                                    stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert result.returncode == 70
+        assert result.stderr == b""
