@@ -10,6 +10,7 @@ the frame and comparing within tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,10 @@ class SignatureInstance:
     @property
     def action_symbols(self) -> frozenset[str]:
         return frozenset(self.unitaries) | frozenset(self.measurements)
+
+    @cached_property
+    def classifier(self):  # what classify_in calls, built on first use
+        return sx.classifier(self.closed_props, frozenset(self.measurements))
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ def validate(sig: SignatureInstance) -> list[Violation]:
 
 
 def classify_in(sig: SignatureInstance, s: sx.Sentence) -> sx.Kind:
-    return sx.classify(s, sig.closed_props, frozenset(sig.measurements))
+    return sig.classifier(s)
 
 
 def eval_term(sig: SignatureInstance, k: sx.Term) -> np.ndarray:

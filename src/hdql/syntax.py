@@ -59,7 +59,7 @@ __all__ = [
     "parse", "parse_sentence", "parse_term", "parse_action", "parse_complex",
     "format_sentence", "format_term", "format_action", "format_complex",
     "substitute", "substitute_term", "desugar", "sasaki_expansion",
-    "classify", "is_unitary_action", "free_vars", "term_vars", "is_ground",
+    "classify", "classifier", "is_unitary_action", "free_vars", "term_vars", "is_ground",
     "sentence_terms", "subterms", "action_symbols", "sentence_symbols",
     "walk", "fold", "TERM", "ACTION", "SENTENCE", "ALL",
 ]
@@ -302,9 +302,6 @@ def fold(node, table, sorts: int = ALL, before=None):
     the values otherwise. ``before[cls](n)`` runs ahead of the children: it
     returns the value of ``n`` early, or None to fold ``n`` as usual.
     """
-    if not node._push[sorts] and (before is None or type(node) not in before):
-        entry = table.get(type(node))  # a leaf needs no stacks
-        return node if entry is None else entry(node, [])
     todo, vals = [node], []
     while todo:
         n = todo.pop()
@@ -312,13 +309,6 @@ def fold(node, table, sorts: int = ALL, before=None):
             n = todo.pop()
             names = n._kids[sorts]
             entry = table.get(type(n))
-            if len(names) == 1:  # the common case, without slicing or zip
-                kid = vals.pop()
-                if entry is not None:
-                    vals.append(entry(n, [kid]))
-                else:
-                    vals.append(n if kid is getattr(n, names[0]) else _rebuild(n, names, [kid]))
-                continue
             kids = vals[-len(names):]
             del vals[-len(names):]
             if entry is not None:
@@ -899,20 +889,23 @@ _CLASSIFY = dict.fromkeys((At, Store), lambda s, kids: _KINDS[
 _CLASSIFY_EARLY = dict.fromkeys((Here, Not, Pos, UntilS), lambda s: _NOTHING)
 
 
-def classify(s: Sentence, closed_props: frozenset[str] | set[str],
-             measurements: frozenset[str] | set[str]) -> Kind:
-    """Kind flags exactly matching the basic / closed / clause grammars.
-
-    Sugar classifies as its expansion, so e.g. a quantum disjunction of
-    closed sentences classifies as closed.
-    """
+def classifier(closed_props: frozenset[str] | set[str],
+               measurements: frozenset[str] | set[str]):
+    """:func:`classify` over one signature, as a function of the sentence,
+    with its fold table built once. Sugar classifies as its expansion."""
     table = _CLASSIFY | {
         Prop: lambda s, kids: _KINDS[True, s.name in closed_props, True],
         Nec: lambda s, kids: _KINDS[
             kids[0].is_basic, kids[0].is_closed and is_unitary_action(s.action, measurements),
             kids[0].is_quantum_clause],
     }
-    return fold(s, table, SENTENCE, _CLASSIFY_EARLY)
+    return lambda s: fold(s, table, SENTENCE, _CLASSIFY_EARLY)
+
+
+def classify(s: Sentence, closed_props: frozenset[str] | set[str],
+             measurements: frozenset[str] | set[str]) -> Kind:
+    """Kind flags exactly matching the basic / closed / clause grammars."""
+    return classifier(closed_props, measurements)(s)
 
 
 # --------------------------------------------------------- term harvesting

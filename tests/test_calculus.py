@@ -568,6 +568,23 @@ class TestProofRebuilds:
             assert _rows(again) == _rows(ref.restrict_premises(tree, used))
             assert check_proof(sig, again).ok
 
+    def test_imp_node_whose_goal_is_no_implication(self):
+        # such a node discharges nothing, so its premise keeps the clause set;
+        # the recursive version added @(k) left for any goal with a left side.
+        # The kernel rejects the node either way.
+        import reference_traversals as ref
+        k, p = Name("v0"), Prop("p")
+        leaf = ProofTree(Sequent((p,), k, p), RuleId.MONOTONICITY)
+        for goal in (And(p, Prop("q")), sx.OPlus(p, Prop("q"))):
+            tree = ProofTree(Sequent((p,), k, goal), RuleId.IMP, (leaf,))
+            assert calculus.premise_hypotheses(RuleId.IMP, tree.conclusion) == ()
+            assert used_premises(tree) == (p,)
+            again = restrict_premises(tree, [p])
+            assert [n.conclusion.gamma for n in proof_nodes(again)] == [(p,), (p,)]
+            old = ref.restrict_premises(tree, [p])
+            assert [n.conclusion.gamma for n in proof_nodes(old)] == [(p,), (p, At(k, p))]
+            assert not check_proof(qubit_sig(), tree).ok
+
     def test_rename_proof_validates_the_morphism_once(self, teleport, monkeypatch):
         sig, tree = _sample_proofs(teleport)[0]
         _, chi = _renaming(sig)

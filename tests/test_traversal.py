@@ -15,7 +15,7 @@ from hdql import hilbert as hl
 from hdql import semantics as sm
 from hdql import syntax as sx
 from hdql.errors import MorphismError, SemanticsError
-from hdql.signature import Morphism, SignatureInstance, apply_morphism
+from hdql.signature import Morphism, SignatureInstance, apply_morphism, classify_in
 from hdql.syntax import (ACTION, ALL, SENTENCE, TERM, AComp, And, ASym, AStar, AUnion,
                          At, Here, Imp, Kind, Name, Nec, Not, OPlus, Origin, Pos, Prop,
                          QImp, QNot, Store, TApp, TSmul, TSum, UntilS, Var, VecLit)
@@ -155,6 +155,17 @@ class TestAgainstReferences:
             assert sx.classify(sx.desugar(s), CLOSED, MEASUREMENTS) == want
             kinds.add(want)
         assert len(kinds) >= 5
+
+    def test_classify_in_builds_one_classifier_per_signature(self, monkeypatch):
+        sig = SignatureInstance(
+            dim=2, unitaries={"u0": hl.X, "u1": hl.H},
+            measurements={"m0": hl.orthonormalize([hl.basis_state(2, 0)])},
+            named_vectors={}, props=frozenset(PROPS), closed_props=CLOSED)
+        built, classifier = [], sx.classifier
+        monkeypatch.setattr(sx, "classifier", lambda *a: built.append(a) or classifier(*a))
+        for s in SENTENCES:
+            assert classify_in(sig, s) == ref.classify(s, CLOSED, MEASUREMENTS)
+        assert built == [(CLOSED, MEASUREMENTS)]
 
     @pytest.mark.parametrize("sugar", [OPlus, Pos, UntilS])
     def test_classify_each_raw_sugar_form(self, sugar):
