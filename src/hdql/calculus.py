@@ -950,16 +950,19 @@ class ProofSession:
         """The state a ground term evaluates to, memoized for the session."""
         return self._prover.saturation(self.gamma).vector(k)
 
-    def prop_fact_vectors(self, p: str) -> list[np.ndarray]:
-        """Evaluated states of every derived fact for the proposition.
+    def intern(self, k: sx.Term) -> int:
+        """The id of a ground term's vector class in the session's table."""
+        return self._prover.saturation(self.gamma).intern(k)
 
-        Elimination walks through guards wherever they lead, so this can
-        extend past the registered terms; every entry is backed by a
-        kernel-checkable proof.
-        """
+    def prop_rows(self, p: str, terms) -> np.ndarray:
+        """Class vectors of the proposition's facts (elimination can carry
+        them past the registered terms), and of the given terms too when the
+        session holds the proposition at every state."""
         sat = self._prover.saturation(self.gamma)
-        return [sat.class_vecs.rows[cid] for (s, cid) in sat.facts
-                if isinstance(s, Prop) and s.name == p]
+        cids = {cid for (s, cid) in sat.facts if isinstance(s, Prop) and s.name == p}
+        if Prop(p) in sat.universal:
+            cids.update(map(sat.intern, terms))
+        return sat.class_vecs.rows[sorted(cids)]
 
     def prove(self, k: sx.Term, goal: sx.Sentence) -> ProveResult:
         goal = sx.desugar(goal)

@@ -121,6 +121,9 @@ def _run_initial(spec: LoadedSpec, flags: RunFlags, out) -> int:
     try:
         im = build_initial(spec.sig, spec.axioms, depth=flags.depth,
                            budget=flags.search_budget())
+    except BudgetExceeded as e:
+        print(f"unknown: {e}", file=out)
+        return EXIT_UNKNOWN
     except HdqlError as e:
         print(f"cannot build the initial model: {e}", file=out)
         return EXIT_DATA
@@ -154,12 +157,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Prove and evaluate hybrid-dynamic quantum logic goals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+        return n
+
+    def tolerance(text: str) -> float:
+        tol = float(text)
+        if not 0 < tol < 1:  # also rejects nan and inf
+            raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text}")
+        return tol
+
     def common(p):
         p.add_argument("specfile", help="problem file")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-        p.add_argument("--star-bound", type=int, default=64)
-        p.add_argument("--depth", type=int, default=6)
-        p.add_argument("--budget", type=int, default=10 ** 6)
+        p.add_argument("--tolerance", type=tolerance, default=DEFAULT_TOL)
+        p.add_argument("--star-bound", type=count, default=64)
+        p.add_argument("--depth", type=count, default=6)
+        p.add_argument("--budget", type=count, default=10 ** 6)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="prove the GOAL lines of the file")

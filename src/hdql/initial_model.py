@@ -3,63 +3,61 @@
 The frame has uncountably many states, so the model is interrogated on a
 finitely generated term universe: the ground terms of the clause set,
 closed under application of every unitary and measurement symbol up to a
-configured depth, deduplicated by evaluated vector (diagram equality makes
-the representatives interchangeable). Each proposition's region collects
-exactly the derivable facts; closed propositions take the span, which the
-finite-basis span rule keeps provable.
+configured depth, one term per vector class of the proof session (diagram
+equality makes the representatives interchangeable). The session's
+saturation is the least fixpoint of the rules, so the regions are read off
+its facts; closed propositions take the span, which the finite-basis span
+rule keeps provable. Queries prove on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import hilbert as hl
 from . import syntax as sx
 from .calculus import ProofSession, ProveResult, SearchBudget
 from .errors import PreconditionFailure, ProofError, SemanticsError
 from .semantics import FiniteVectors, QuantumModel, global_sat, sat_at
-from .signature import SignatureInstance, apply_symbol, eval_term, validate
+from .signature import SignatureInstance, eval_term, validate
 
 __all__ = ["InitialModel", "build_initial", "generate_universe"]
 
 
-def generate_universe(sig: SignatureInstance, gamma, depth: int,
+def generate_universe(session: ProofSession, depth: int,
                       max_terms: int = 4096) -> tuple[list[sx.Term], bool]:
-    """Ground terms of the clause set closed under symbol application.
+    """Ground terms of the session's clause set closed under symbol application.
 
-    Terms evaluating to an already-seen vector are dropped; returns the
-    representative terms and whether the cap truncated the closure.
+    Every candidate is interned into the session's class table and kept only
+    when its class is new to the universe; returns the representative terms
+    and whether the cap truncated the closure.
     """
-    table = hl.VectorTable(sig.dim, sig.tol)
-    terms: list[sx.Term] = []
-    # frontier entries carry their vector: a candidate s(t) costs one step
-    frontier: list[tuple[sx.Term, np.ndarray]] = []
+    universe: dict[int, sx.Term] = {}  # class id -> representative, in order
 
-    def intern(term: sx.Term, v: np.ndarray, into: list) -> None:
-        if table.find(v) < 0:
-            table.add(v)
-            terms.append(term)
-            into.append((term, v))
+    def fresh(term: sx.Term) -> bool:
+        cid = session.intern(term)
+        if cid in universe:
+            return False
+        universe[cid] = term
+        return True
 
-    seeds = [sx.Origin()]
-    for c in gamma:
-        seeds.extend(t for t in sx.sentence_terms(c) if sx.is_ground(t))
-    for t in seeds:
-        intern(t, eval_term(sig, t), frontier)
-    syms = sorted(sig.unitaries) + sorted(sig.measurements)
+    seeds = [sx.Origin()] + [t for c in session.gamma for t in sx.sentence_terms(c)
+                             if sx.is_ground(t)]
+    frontier = [t for t in seeds if fresh(t)]
+    syms = sorted(session.sig.unitaries) + sorted(session.sig.measurements)
     for _ in range(depth):
-        new: list[tuple[sx.Term, np.ndarray]] = []
-        for t, v in frontier:
+        new: list[sx.Term] = []
+        for t in frontier:
             for s in syms:
-                intern(sx.TApp(s, t), apply_symbol(sig, s, v), new)
-                if len(terms) >= max_terms:
-                    return terms, True
+                term = sx.TApp(s, t)
+                if fresh(term):
+                    new.append(term)
+                if len(universe) >= max_terms:
+                    return list(universe.values()), True
         if not new:
             break
         frontier = new
-    return terms, False
+    return list(universe.values()), False
 
 
 @dataclass(eq=False)
@@ -70,13 +68,10 @@ class InitialModel:
     truncated: bool
     model: QuantumModel
     session: ProofSession
-    derived: dict[tuple[str, sx.Term], str] = field(default_factory=dict)
 
     def prove(self, p: str, k: sx.Term) -> ProveResult:
         """Proof-object view of a query; holds() is the status view."""
-        result = self.session.prove(k, sx.Prop(p))
-        self.derived[(p, k)] = result.status
-        return result
+        return self.session.prove(k, sx.Prop(p))
 
 
 def build_initial(sig: SignatureInstance, gamma, depth: int = 6,
@@ -84,47 +79,33 @@ def build_initial(sig: SignatureInstance, gamma, depth: int = 6,
                   max_terms: int = 4096) -> InitialModel:
     """Build the least model of a set of quantum clauses.
 
-    Every proposition's region is exactly its derivable facts over the
-    term universe: finite vector sets for plain propositions, spans for
-    closed ones.
+    The universe is registered with one proof session, whose saturation
+    fixes every proposition's region: the vectors of its derived facts (a
+    finite set for plain propositions, their span for closed ones), and the
+    whole universe when the proposition holds at every state.
     """
     problems = validate(sig)
     if problems:
         raise ProofError("signature does not validate: "
                          + "; ".join(map(str, problems)))
     gamma = tuple(gamma)
-    universe, truncated = generate_universe(sig, gamma, depth, max_terms)
     session = ProofSession(sig, gamma, budget)
+    universe, truncated = generate_universe(session, depth, max_terms)
     session.register_terms(universe)
-    derived: dict[tuple[str, sx.Term], str] = {}
     valuation = {}
     for p in sorted(sig.props):
-        held = []
-        for t in universe:
-            derived[(p, t)] = session.prove(t, sx.Prop(p)).status
-            if derived[(p, t)] == "holds":
-                held.append(session.vector(t))
-        # guard elimination derives facts past the universe boundary; they
-        # are provable, so they belong to the region
-        provable = hl.VectorTable(sig.dim, sig.tol)
-        for v in held + session.prop_fact_vectors(p):
-            if provable.find(v) < 0:
-                provable.add(v)
+        rows = session.prop_rows(p, universe)
         if p in sig.closed_props:
-            valuation[p] = hl.orthonormalize(provable.rows, dim=sig.dim, tol=sig.tol)
+            valuation[p] = hl.orthonormalize(rows, dim=sig.dim, tol=sig.tol)
         else:
-            valuation[p] = FiniteVectors(tuple(provable.rows))
-    model = QuantumModel(sig, valuation)
-    im = InitialModel(sig, gamma, universe, truncated, model, session)
-    im.derived.update(derived)
-    return im
+            valuation[p] = FiniteVectors(tuple(rows))
+    return InitialModel(sig, gamma, universe, truncated, QuantumModel(sig, valuation),
+                        session)
 
 
 def holds(im: InitialModel, p: str, k: sx.Term) -> str:
-    """Three-valued query: "holds", "fails" or "unknown" (budget ran out)."""
-    cached = im.derived.get((p, k))
-    if cached is not None:
-        return cached
+    """Three-valued query, proved on demand: "holds", "fails" or "unknown"
+    (budget ran out)."""
     return im.prove(p, k).status
 
 

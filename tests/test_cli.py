@@ -276,6 +276,35 @@ class TestInitial:
         assert "goal 1: satisfied in the initial model: true" in output
         assert "goal 2: satisfied in the initial model: false" in output
 
+    def test_exhausted_budget_exits_2(self, tmp_path):
+        # running out of budget says nothing about the input being malformed
+        path = tmp_path / "teleport.hdql"
+        path.write_text(teleport_spec_text(0.6, 0.8))
+        code, output = run(["initial", str(path), "--depth", "3", "--budget", "10"])
+        assert code == 2
+        assert output == "unknown: prover node budget exhausted\n"
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("flag, value", [
+        ("--depth", "-1"), ("--budget", "-1"), ("--star-bound", "-3"),
+        ("--tolerance", "nan"), ("--tolerance", "5")])
+    def test_out_of_range_value_exits_64(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "small.hdql"
+        path.write_text(SMALL)
+        code, output = run(["initial", str(path), flag, value])
+        assert code == 64
+        assert output == ""
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self, tmp_path):
+        path = tmp_path / "small.hdql"
+        path.write_text(SMALL)
+        code, output = run(["initial", str(path), "--depth", "0", "--star-bound", "0",
+                            "--tolerance", "1e-12"])
+        assert code == 1
+        assert "term universe: 2 states" in output  # the origin and v0
+
 
 class TestErrorPaths:
     def test_missing_file_exits_66(self):

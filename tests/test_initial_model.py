@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference_initial_model as ref
 
 from hdql import hilbert as hl
 from hdql import signature as sg
@@ -10,7 +11,7 @@ from hdql.errors import PreconditionFailure
 from hdql.initial_model import build_initial, check_minimality, holds
 from hdql.semantics import FiniteVectors, QuantumModel, sat_at
 from hdql.signature import eval_term
-from hdql.syntax import At, Name, Origin, Prop, parse_term
+from hdql.syntax import At, Name, Origin, Prop, parse, parse_term
 
 K0, K1 = hl.basis_state(2, 0), hl.basis_state(2, 1)
 
@@ -117,3 +118,63 @@ def random_basic_clause(rng) -> sx.Sentence:
     if shape == 2:
         return sx.Nec(sx.ASym(str(rng.choice(["h", "x"]))), base)
     return At(name, sx.And(base, Prop("p")))
+
+
+# every clause shape the regions are read from: anchored facts, unanchored
+# plain and closed propositions, necessities, implications, star and store
+CLAUSES = ["@(v0) p", "@(v1) q", "@(v1) r", "@(v0) [u] q", "@(v1) [m0] r",
+           "@(u(v0)) (p /\\ q)", "p", "r", "[h] p", "(@(v0) q) => [x] r",
+           "q => [x] p", "@(v1) [x*] q", "store z . @(z) [h] q"]
+
+
+def random_qubit_sig(rng):
+    return sg.SignatureInstance(
+        dim=2,
+        unitaries={"h": hl.H, "x": hl.X, "u": hl.random_unitary(2, rng)},
+        measurements={"m0": hl.orthonormalize([K0])},
+        named_vectors={"v0": K0, "v1": hl.random_state(2, rng)},
+        props=frozenset({"p", "q", "r"}),
+        closed_props=frozenset({"r"}))
+
+
+def same_region(got, want, tol) -> bool:
+    if isinstance(want, FiniteVectors):
+        return len(got.vectors) == len(want.vectors) and all(
+            any(hl.vec_eq(g, w, tol) for w in want.vectors) for g in got.vectors)
+    return np.allclose(hl.projector(got), hl.projector(want), rtol=0, atol=1e-9)
+
+
+class TestRegionsFromFacts:
+    """Regions read off the session's facts equal those of one proof query
+    per proposition and universe term (tests/reference_initial_model.py)."""
+
+    def test_matches_the_query_loop_on_a_seeded_corpus(self):
+        rng = np.random.default_rng(2031)
+        for n in range(60):
+            sig = random_qubit_sig(rng)
+            # every shape twice in the corpus, then random subsets
+            picks = [CLAUSES[n % len(CLAUSES)]] if n < 2 * len(CLAUSES) else []
+            picks += list(rng.choice(CLAUSES, size=int(rng.integers(1, 4)),
+                                     replace=False))
+            gamma = [parse(c) for c in picks]
+            im = build_initial(sig, gamma, depth=3)
+            want = ref.build_initial(sig, gamma, depth=3)
+            assert im.term_universe == want.term_universe, picks
+            assert im.truncated == want.truncated
+            for p in sorted(sig.props):
+                assert same_region(im.model.valuation[p], want.model.valuation[p],
+                                   sig.tol), (picks, p)
+                for t in im.term_universe:
+                    assert holds(im, p, t) == ref.holds(want, p, t), \
+                        (picks, p, sx.format_term(t))
+
+    def test_unanchored_proposition_holds_at_every_universe_class(self):
+        sig = random_qubit_sig(np.random.default_rng(5))
+        # the anchor seeds the universe; without it the universe is the origin
+        im = build_initial(sig, [parse("p"), parse("r"), parse("@(v1) q")], depth=3)
+        region = im.model.valuation["p"]
+        assert len(region.vectors) == len(im.term_universe)
+        for t in im.term_universe:
+            w = eval_term(sig, t)
+            assert any(hl.vec_eq(v, w, sig.tol) for v in region.vectors)
+        assert im.model.valuation["r"].rank == sig.dim
