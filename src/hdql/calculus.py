@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -713,7 +714,6 @@ class _Prover:
         self.counter = _Counter(budget.max_nodes)
         self.saturations: dict[tuple[sx.Sentence, ...], _Saturation] = {}
         self.vectors: dict[sx.Term, np.ndarray] = {}
-        self.root_gamma = gamma
         self.star_exhausted = False
 
     def saturation(self, gamma: tuple[sx.Sentence, ...]) -> _Saturation:
@@ -729,16 +729,26 @@ class _Prover:
         return sat
 
     def saturate_sites(self, gamma: tuple[sx.Sentence, ...]) -> None:
-        """Fire implications at every registered site until nothing changes."""
+        """Fire implications at every registered site until a round grows
+        neither a closed span nor the facts at a site it began with: proving
+        [x] s at k probes x(k), whose clauses can add facts at x(x(k)) ~ k.
+        Facts at the probed sites alone do not count, or [u] s with u of
+        infinite order would probe a new u(k) in every round."""
         sat = self.saturation(gamma)
         sat.drain()
+
+        def ranks():
+            return [sat.span_of(r)[0].rank for r in sorted(self.sig.closed_props)]
         changed = True
         while changed:
+            tried, known, spans = set(sat.sites), len(sat.facts), ranks()
             changed = False
             for idx, (imp, _) in enumerate(list(sat.imps)):
                 for cid in list(sat.sites):
                     changed |= self._fire(gamma, sat, idx, imp, sat.class_terms[cid], cid)
             sat.drain()
+            changed = (changed or ranks() != spans
+                       or any(cid in tried for _, cid in islice(sat.facts, known, None)))
 
     def _fire(self, gamma, sat: _Saturation, idx: int, imp: sx.Sentence,
               k: sx.Term, cid: int) -> bool:

@@ -121,10 +121,13 @@ def random_basic_clause(rng) -> sx.Sentence:
 
 
 # every clause shape the regions are read from: anchored facts, unanchored
-# plain and closed propositions, necessities, implications, star and store
+# plain and closed propositions, necessities, implications, star and store;
+# the last four let a probed site x(k) enable a fire tried at k
 CLAUSES = ["@(v0) p", "@(v1) q", "@(v1) r", "@(v0) [u] q", "@(v1) [m0] r",
            "@(u(v0)) (p /\\ q)", "p", "r", "[h] p", "(@(v0) q) => [x] r",
-           "q => [x] p", "@(v1) [x*] q", "store z . @(z) [h] q"]
+           "q => [x] p", "@(v1) [x*] q", "store z . @(z) [h] q",
+           "@(v0) [u][u][u] w", "(q /\\ w) => p", "([x] s) => t",
+           "(r /\\ q) => p"]
 
 
 def random_qubit_sig(rng):
@@ -133,7 +136,7 @@ def random_qubit_sig(rng):
         unitaries={"h": hl.H, "x": hl.X, "u": hl.random_unitary(2, rng)},
         measurements={"m0": hl.orthonormalize([K0])},
         named_vectors={"v0": K0, "v1": hl.random_state(2, rng)},
-        props=frozenset({"p", "q", "r"}),
+        props=frozenset({"p", "q", "r", "s", "t", "w"}),
         closed_props=frozenset({"r"}))
 
 
@@ -165,8 +168,32 @@ class TestRegionsFromFacts:
                 assert same_region(im.model.valuation[p], want.model.valuation[p],
                                    sig.tol), (picks, p)
                 for t in im.term_universe:
-                    assert holds(im, p, t) == ref.holds(want, p, t), \
-                        (picks, p, sx.format_term(t))
+                    status = holds(im, p, t)
+                    assert status == ref.holds(want, p, t), (picks, p, sx.format_term(t))
+                    # the region is what the prover finds, term by term
+                    assert (status == "holds") == sat_at(
+                        im.model, eval_term(sig, t), Prop(p)), (picks, p, sx.format_term(t))
+
+    @pytest.mark.parametrize("clauses, depth, k", [
+        # (q /\ w) => p fails at u(u(u(v0))); proving [x] s there probes
+        # x(u(u(u(v0)))), where [x] q adds q back at u(u(u(v0)))
+        (["@(v0) [u][u][u] w", "[x] q", "(q /\\ w) => p", "([x] s) => t"], 3,
+         "u(u(u(v0)))"),
+        # (r /\ q) => p fails at v0; proving [x] s there probes x(v0), where
+        # [h] r grows the span of the closed r to the whole plane
+        (["@(v0) q", "(r /\\ q) => p", "[h] r", "([x] s) => t"], 0, "v0"),
+    ])
+    def test_a_probed_site_can_enable_a_fire_tried_before(self, clauses, depth, k):
+        sig = random_qubit_sig(np.random.default_rng(7))
+        gamma = [parse(c) for c in clauses]
+        im = build_initial(sig, gamma, depth=depth)
+        w = eval_term(sig, parse_term(k))
+        assert any(hl.vec_eq(v, w, sig.tol) for v in im.model.valuation["p"].vectors)
+        assert holds(im, "p", parse_term(k)) == "holds"
+        want = ref.build_initial(sig, gamma, depth=depth)
+        for p in sorted(sig.props):
+            assert same_region(im.model.valuation[p], want.model.valuation[p],
+                               sig.tol), p
 
     def test_unanchored_proposition_holds_at_every_universe_class(self):
         sig = random_qubit_sig(np.random.default_rng(5))
