@@ -8,6 +8,11 @@ right rules decompose the goal, a forward saturation pass turns the clause
 set into atomic facts, and closed propositions close under origin, scalar
 multiples, sums and finite-basis spans.
 
+The introduction and elimination rules of the compound sentences (retrieve,
+store, conjunction, and [f], [a;b] and [a|b] necessities) are defined once,
+in the table read by ``_components``: the kernel checks them, the prover
+introduces them and the saturation eliminates them from there.
+
 The infinitary star introduction is replaced by a bounded instance that
 carries an orbit-closure certificate; the infinitary Cauchy rule is
 replaced by the finite-basis span rule. There is no cut rule.
@@ -141,8 +146,44 @@ class CheckResult:
         return self.ok
 
 
+# The compound sentences' rules. A compound class (a necessity's by its
+# action) maps to (what the sentence is, its introduction, its elimination,
+# its (term, sentence) components at k): the introduction proves the sentence
+# at k from all its components in order, the elimination any one from it.
+_COMPOUND = {
+    At: ("a retrieve sentence", RuleId.RET_I, RuleId.RET_E,
+         lambda k, s: ((s.term, s.body),)),
+    Store: ("a store sentence", RuleId.STORE_I, RuleId.STORE_E,
+            lambda k, s: ((k, sx.substitute(s.body, s.var, k)),)),
+    And: ("a conjunction", RuleId.CONJ_I, RuleId.CONJ_E,
+          lambda k, s: ((k, s.left), (k, s.right))),
+    ASym: ("a single-symbol necessity", RuleId.FT_I, RuleId.FT_E,
+           lambda k, s: ((TApp(s.action.name, k), s.body),)),
+    AComp: ("a composition necessity", RuleId.COMP_E, RuleId.COMP_I,
+            lambda k, s: ((k, Nec(s.action.left, Nec(s.action.right, s.body))),)),
+    AUnion: ("a union necessity", RuleId.UNION_I, RuleId.UNION_E,
+             lambda k, s: ((k, Nec(s.action.left, s.body)), (k, Nec(s.action.right, s.body)))),
+}
+# rule -> (whether it is the introduction, what its compound sentence is)
+_TABLE_RULES = {rule: (i == 0, what) for what, *rules, _ in _COMPOUND.values()
+                for i, rule in enumerate(rules)}
+
+
+def _components(k: sx.Term, s: sx.Sentence):
+    """(introduction rule, elimination rule, components) of the compound
+    sentence s at term k, or None when s is not compound."""
+    entry = _COMPOUND.get(type(s.action) if type(s) is Nec else type(s))
+    if entry is None:
+        return None
+    _, intro, elim, components = entry
+    return intro, elim, components(k, s)
+
+
 def _star_action(a: sx.Action, n: int) -> sx.Action:
-    return a if n == 1 else AComp(a, _star_action(a, n - 1))
+    action = a
+    for _ in range(n - 1):
+        action = AComp(a, action)
+    return action
 
 
 def _star_power(a: sx.Action, n: int, body: sx.Sentence) -> sx.Sentence:
@@ -269,110 +310,24 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
             return _bad(path,
                         f"EQ: terms are not diagram-equal "
                         f"(residual {diagram_residual(sig, p.k, k):.3e})")
-    elif rule is RuleId.RET_I:
-        arity(1)
-        if not isinstance(goal, At):
-            return _bad(path, "RetI: goal is not a retrieve sentence")
-        p = prem[0].conclusion
-        if not same_context(prem[0]) or p.k != goal.term or p.goal != goal.body:
-            return _bad(path, "RetI: premise does not prove the body at the named term")
-    elif rule is RuleId.RET_E:
-        arity(1)
-        p = prem[0].conclusion
-        if not isinstance(p.goal, At):
-            return _bad(path, "RetE: premise is not a retrieve sentence")
-        if not same_context(prem[0]) or p.goal.term != k or p.goal.body != goal:
-            return _bad(path, "RetE: conclusion does not move to the named term")
-    elif rule is RuleId.STORE_I:
-        arity(1)
-        if not isinstance(goal, Store):
-            return _bad(path, "StoreI: goal is not a store sentence")
-        p = prem[0].conclusion
-        want = sx.substitute(goal.body, goal.var, k)
-        if not same_context(prem[0]) or p.k != k or p.goal != want:
-            return _bad(path, "StoreI: premise is not the instantiated body")
-    elif rule is RuleId.STORE_E:
-        arity(1)
-        p = prem[0].conclusion
-        if not isinstance(p.goal, Store):
-            return _bad(path, "StoreE: premise is not a store sentence")
-        want = sx.substitute(p.goal.body, p.goal.var, k)
-        if not same_context(prem[0]) or p.k != k or goal != want:
-            return _bad(path, "StoreE: conclusion is not the instantiated body")
-    elif rule is RuleId.CONJ_I:
-        arity(2)
-        if not isinstance(goal, And):
-            return _bad(path, "ConjI: goal is not a conjunction")
-        p1, p2 = prem[0].conclusion, prem[1].conclusion
-        if not (same_context(prem[0]) and same_context(prem[1])
-                and p1.k == k and p2.k == k
-                and p1.goal == goal.left and p2.goal == goal.right):
-            return _bad(path, "ConjI: premises do not match the conjuncts")
-    elif rule is RuleId.CONJ_E:
-        arity(1)
-        p = prem[0].conclusion
-        if not isinstance(p.goal, And):
-            return _bad(path, "ConjE: premise is not a conjunction")
-        if not same_context(prem[0]) or p.k != k or goal not in (p.goal.left, p.goal.right):
-            return _bad(path, "ConjE: conclusion is not a conjunct of the premise")
-    elif rule is RuleId.FT_I:
-        arity(1)
-        if not (isinstance(goal, Nec) and isinstance(goal.action, ASym)):
-            return _bad(path, "FTI: goal is not a single-symbol necessity")
-        f = goal.action.name
-        if f not in sig.unitaries and f not in sig.measurements:
-            return _bad(path, f"FTI: unknown operation symbol {f!r}")
-        p = prem[0].conclusion
-        if not same_context(prem[0]) or p.k != TApp(f, k) or p.goal != goal.body:
-            return _bad(path, "FTI: premise is not the body at the advanced term")
-    elif rule is RuleId.FT_E:
-        arity(1)
-        p = prem[0].conclusion
-        if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, ASym)):
-            return _bad(path, "FTE: premise is not a single-symbol necessity")
-        f = p.goal.action.name
-        if f not in sig.unitaries and f not in sig.measurements:
-            return _bad(path, f"FTE: unknown operation symbol {f!r}")
-        if not same_context(prem[0]) or k != TApp(f, p.k) or goal != p.goal.body:
-            return _bad(path, "FTE: conclusion is not the body at the advanced term")
-    elif rule is RuleId.COMP_I:
-        arity(1)
-        p = prem[0].conclusion
-        if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, AComp)):
-            return _bad(path, "CompI: premise is not a composition necessity")
-        a = p.goal.action
-        if not same_context(prem[0]) or p.k != k or \
-                goal != Nec(a.left, Nec(a.right, p.goal.body)):
-            return _bad(path, "CompI: conclusion is not the nested form")
-    elif rule is RuleId.COMP_E:
-        arity(1)
-        if not (isinstance(goal, Nec) and isinstance(goal.action, AComp)):
-            return _bad(path, "CompE: goal is not a composition necessity")
-        a = goal.action
-        p = prem[0].conclusion
-        if not same_context(prem[0]) or p.k != k or \
-                p.goal != Nec(a.left, Nec(a.right, goal.body)):
-            return _bad(path, "CompE: premise is not the nested form")
-    elif rule is RuleId.UNION_I:
-        arity(2)
-        if not (isinstance(goal, Nec) and isinstance(goal.action, AUnion)):
-            return _bad(path, "UnionI: goal is not a union necessity")
-        a = goal.action
-        p1, p2 = prem[0].conclusion, prem[1].conclusion
-        if not (same_context(prem[0]) and same_context(prem[1])
-                and p1.k == k and p2.k == k
-                and p1.goal == Nec(a.left, goal.body)
-                and p2.goal == Nec(a.right, goal.body)):
-            return _bad(path, "UnionI: premises do not match the branches")
-    elif rule is RuleId.UNION_E:
-        arity(1)
-        p = prem[0].conclusion
-        if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, AUnion)):
-            return _bad(path, "UnionE: premise is not a union necessity")
-        a = p.goal.action
-        wanted = (Nec(a.left, p.goal.body), Nec(a.right, p.goal.body))
-        if not same_context(prem[0]) or p.k != k or goal not in wanted:
-            return _bad(path, "UnionE: conclusion is not one of the branches")
+    elif rule in _TABLE_RULES:
+        intro, what = _TABLE_RULES[rule]
+        if not intro:
+            arity(1)
+        whole = t.conclusion if intro else prem[0].conclusion  # the compound side
+        entry = _components(whole.k, whole.goal)
+        if entry is None or entry[0 if intro else 1] is not rule:
+            return _bad(path, f"{rule.value}: {'goal' if intro else 'premise'} is not {what}")
+        if isinstance(whole.goal, Nec) and isinstance(whole.goal.action, ASym):
+            f = whole.goal.action.name
+            if f not in sig.unitaries and f not in sig.measurements:
+                return _bad(path, f"{rule.value}: unknown operation symbol {f!r}")
+        if intro:
+            if not (all(map(same_context, prem)) and entry[2] == tuple(
+                    (p.conclusion.k, p.conclusion.goal) for p in prem)):
+                return _bad(path, f"{rule.value}: premises are not the goal's components")
+        elif not same_context(prem[0]) or (k, goal) not in entry[2]:
+            return _bad(path, f"{rule.value}: conclusion is not a component of the premise")
     elif rule is RuleId.STAR_E:
         arity(1)
         p = prem[0].conclusion
@@ -381,7 +336,8 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         n = t.certificate
         if type(n) is not int or n < 0:  # bool is an int subclass, not a number
             return _bad(path, "StarE: certificate must be a natural number")
-        if not same_context(prem[0]) or p.k != k or \
+        # an n-fold unrolling has at least n nodes: a larger n is not built
+        if not same_context(prem[0]) or p.k != k or n > sum(1 for _ in sx.walk(goal)) or \
                 goal != _star_power(p.goal.action.body, n, p.goal.body):
             return _bad(path, f"StarE: conclusion is not the {n}-fold unrolling")
     elif rule is RuleId.STAR_I_BOUNDED:
@@ -456,6 +412,12 @@ class _Counter:
         self.left -= n
         if self.left < 0:
             raise BudgetExceeded("prover node budget exhausted")
+
+
+def _at_sites(s: sx.Sentence) -> bool:
+    """Whether a clause that holds at every term is eliminated at each site:
+    a store's and an [f]'s components depend on the term, and star unrolls."""
+    return isinstance(s, Store) or isinstance(s, Nec) and isinstance(s.action, (ASym, AStar))
 
 
 class _Saturation:
@@ -579,47 +541,24 @@ class _Saturation:
                 self._eliminate_fact(item[1], item[2], item[3])
 
     def _eliminate_universal(self, s: sx.Sentence, builder) -> None:
-        gamma = self.gamma
-        if isinstance(s, And):
-            for side, part in (("left", s.left), ("right", s.right)):
-                def build(k, _part=part, _s=s, _b=builder):
-                    return ProofTree(Sequent(gamma, k, _part), RuleId.CONJ_E, (_b(k),))
-                self._add_universal(part, build)
-        elif isinstance(s, At):
+        if isinstance(s, At):  # it holds at every term, so at the named one
             if self.is_ground(s.term):
-                premise = builder(s.term)
-                self.add_fact(s.body, s.term, ProofTree(
-                    Sequent(gamma, s.term, s.body), RuleId.RET_E, (premise,)))
-        elif isinstance(s, Nec) and isinstance(s.action, AComp):
-            a = s.action
-            nested = Nec(a.left, Nec(a.right, s.body))
-
-            def build(k, _n=nested, _b=builder):
-                return ProofTree(Sequent(gamma, k, _n), RuleId.COMP_I, (_b(k),))
-            self._add_universal(nested, build)
-        elif isinstance(s, Nec) and isinstance(s.action, AUnion):
-            a = s.action
-            for part in (Nec(a.left, s.body), Nec(a.right, s.body)):
-                def build(k, _p=part, _b=builder):
-                    return ProofTree(Sequent(gamma, k, _p), RuleId.UNION_E, (_b(k),))
-                self._add_universal(part, build)
-        # single-symbol necessities, stores and star necessities only act
-        # at concrete terms; they are expanded by _instantiate
+                self._eliminate_fact(s, s.term, builder(s.term))
+            return
+        if _at_sites(s) or (entry := _components(None, s)) is None:
+            return
+        # a conjunction's, composition's or union's components do not depend
+        # on the term (None here), so they hold at every term too
+        _, elim, components = entry
+        gamma = self.gamma
+        for _, part in components:
+            def build(k, _part=part, _b=builder):
+                return ProofTree(Sequent(gamma, k, _part), elim, (_b(k),))
+            self._add_universal(part, build)
 
     def _instantiate(self, s: sx.Sentence, builder, term: sx.Term) -> None:
-        gamma = self.gamma
-        if isinstance(s, Nec) and isinstance(s.action, ASym):
-            advanced = TApp(s.action.name, term)
-            proof = ProofTree(Sequent(gamma, advanced, s.body), RuleId.FT_E,
-                              (builder(term),))
-            self.add_fact(s.body, advanced, proof)
-        elif isinstance(s, Store):
-            inst = sx.substitute(s.body, s.var, term)
-            proof = ProofTree(Sequent(gamma, term, inst), RuleId.STORE_E,
-                              (builder(term),))
-            self.add_fact(inst, term, proof)
-        elif isinstance(s, Nec) and isinstance(s.action, AStar):
-            self._unroll_star(s, builder, term)
+        if _at_sites(s):
+            self._eliminate_fact(s, term, builder(term))
 
     def _unroll_star(self, s: sx.Sentence, builder, term: sx.Term) -> None:
         before = len(self.facts)
@@ -641,36 +580,16 @@ class _Saturation:
         self.incomplete = True
 
     def _eliminate_fact(self, s: sx.Sentence, term: sx.Term, proof: ProofTree) -> None:
-        gamma = self.gamma
-        if isinstance(s, And):
-            for part in (s.left, s.right):
-                self.add_fact(part, term, ProofTree(
-                    Sequent(gamma, term, part), RuleId.CONJ_E, (proof,)))
-        elif isinstance(s, At):
-            if self.is_ground(s.term):
-                self.add_fact(s.body, s.term, ProofTree(
-                    Sequent(gamma, s.term, s.body), RuleId.RET_E, (proof,)))
-        elif isinstance(s, Store):
-            inst = sx.substitute(s.body, s.var, term)
-            self.add_fact(inst, term, ProofTree(
-                Sequent(gamma, term, inst), RuleId.STORE_E, (proof,)))
-        elif isinstance(s, Nec):
-            a = s.action
-            if isinstance(a, ASym):
-                advanced = TApp(a.name, term)
-                self.add_fact(s.body, advanced, ProofTree(
-                    Sequent(gamma, advanced, s.body), RuleId.FT_E, (proof,)))
-            elif isinstance(a, AComp):
-                nested = Nec(a.left, Nec(a.right, s.body))
-                self.add_fact(nested, term, ProofTree(
-                    Sequent(gamma, term, nested), RuleId.COMP_I, (proof,)))
-            elif isinstance(a, AUnion):
-                for part in (Nec(a.left, s.body), Nec(a.right, s.body)):
-                    self.add_fact(part, term, ProofTree(
-                        Sequent(gamma, term, part), RuleId.UNION_E, (proof,)))
-            elif isinstance(a, AStar):
-                self._unroll_star(s, lambda k, _p=proof: _adapt_eq(
-                    self, _p, k), term)
+        if isinstance(s, Nec) and isinstance(s.action, AStar):
+            self._unroll_star(s, lambda k, _p=proof: _adapt_eq(self, _p, k), term)
+            return
+        entry = _components(term, s)
+        if entry is None:
+            return
+        _, elim, components = entry
+        for k, part in components:
+            if k is term or self.is_ground(k):
+                self.add_fact(part, k, ProofTree(Sequent(self.gamma, k, part), elim, (proof,)))
 
     # -- spans for closed propositions ---------------------------------------
     def span_of(self, r: str):
@@ -774,79 +693,47 @@ class _Prover:
         sat = self.saturation(gamma)
         if goal in gamma:
             return ProofTree(Sequent(gamma, k, goal), RuleId.MONOTONICITY)
-        if isinstance(goal, And):
-            left = self.prove(gamma, k, goal.left, allow_mp)
-            if left is None:
-                return None
-            right = self.prove(gamma, k, goal.right, allow_mp)
-            if right is None:
-                return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.CONJ_I, (left, right))
-        if isinstance(goal, At):
-            if not sat.is_ground(goal.term):
-                return None
-            inner = self.prove(gamma, goal.term, goal.body, allow_mp)
-            if inner is None:
-                return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.RET_I, (inner,))
-        if isinstance(goal, Store):
-            inst = sx.substitute(goal.body, goal.var, k)
-            inner = self.prove(gamma, k, inst, allow_mp)
-            if inner is None:
-                return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.STORE_I, (inner,))
-        if isinstance(goal, Nec):
-            return self._prove_nec(gamma, sat, k, goal, allow_mp)
+        if isinstance(goal, Prop):
+            return self._prove_prop(gamma, sat, k, goal, allow_mp)
         if isinstance(goal, (Imp, QImp)):
             inner = self.prove(gamma + (At(k, goal.left),), k, goal.right, allow_mp)
             if inner is None:
                 return None
             rule = RuleId.IMP if isinstance(goal, Imp) else RuleId.IMP_C
             return ProofTree(Sequent(gamma, k, goal), rule, (inner,))
-        if isinstance(goal, Prop):
-            return self._prove_prop(gamma, sat, k, goal, allow_mp)
-        return None
+        if isinstance(goal, Nec) and isinstance(goal.action, AStar):
+            return self._prove_star(gamma, sat, k, goal, allow_mp)
+        entry = _components(k, goal)
+        if entry is None:
+            return None
+        intro, _, components = entry
+        premises = []
+        for t, part in components:
+            if t is not k and not sat.is_ground(t):
+                return None
+            sub = self.prove(gamma, t, part, allow_mp)
+            if sub is None:
+                return None
+            premises.append(sub)
+        return ProofTree(Sequent(gamma, k, goal), intro, tuple(premises))
 
-    def _prove_nec(self, gamma, sat: _Saturation, k: sx.Term, goal: Nec, allow_mp: bool):
+    def _prove_star(self, gamma, sat: _Saturation, k: sx.Term, goal: Nec, allow_mp: bool):
+        if not sat.is_ground(k):
+            return None
         a = goal.action
-        if isinstance(a, ASym):
-            if not sat.is_ground(k):
+        _, period, closed = orbit(QuantumModel(self.sig, {}), a.body, sat.vector(k),
+                                  self.budget.star, verdict_only=True)
+        if not closed:
+            self.star_exhausted = True
+            return None
+        premises = []
+        for n in range(period + 1):
+            sub = self.prove(gamma, k, _star_power(a.body, n, goal.body), allow_mp)
+            if sub is None:
                 return None
-            inner = self.prove(gamma, TApp(a.name, k), goal.body, allow_mp)
-            if inner is None:
-                return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.FT_I, (inner,))
-        if isinstance(a, AComp):
-            nested = Nec(a.left, Nec(a.right, goal.body))
-            inner = self.prove(gamma, k, nested, allow_mp)
-            if inner is None:
-                return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.COMP_E, (inner,))
-        if isinstance(a, AUnion):
-            left = self.prove(gamma, k, Nec(a.left, goal.body), allow_mp)
-            if left is None:
-                return None
-            right = self.prove(gamma, k, Nec(a.right, goal.body), allow_mp)
-            if right is None:
-                return None
-            return ProofTree(Sequent(gamma, k, goal), RuleId.UNION_I, (left, right))
-        if isinstance(a, AStar):
-            if not sat.is_ground(k):
-                return None
-            _, period, closed = orbit(QuantumModel(self.sig, {}), a.body, sat.vector(k),
-                                      self.budget.star, verdict_only=True)
-            if not closed:
-                self.star_exhausted = True
-                return None
-            premises = []
-            for n in range(period + 1):
-                sub = self.prove(gamma, k, _star_power(a.body, n, goal.body), allow_mp)
-                if sub is None:
-                    return None
-                premises.append(sub)
-            return ProofTree(Sequent(gamma, k, goal), RuleId.STAR_I_BOUNDED,
-                             tuple(premises), certificate=period)
-        return None
+            premises.append(sub)
+        return ProofTree(Sequent(gamma, k, goal), RuleId.STAR_I_BOUNDED,
+                         tuple(premises), certificate=period)
 
     def _prove_prop(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop,
                     allow_mp: bool):

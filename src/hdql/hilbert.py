@@ -219,13 +219,9 @@ def apply_measurement(s: Subspace, w: np.ndarray, tol: float = DEFAULT_TOL) -> n
 
 
 def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff u†u and uu† are both the identity within tol (max-norm)."""
+    """True iff u is square and its unitarity residual is at most tol."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    eye = np.eye(u.shape[0])
-    return (np.max(np.abs(u.conj().T @ u - eye)) <= tol
-            and np.max(np.abs(u @ u.conj().T - eye)) <= tol)
+    return u.ndim == 2 and u.shape[0] == u.shape[1] and unitarity_residual(u) <= tol
 
 
 def unitarity_residual(u: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gen import random_closed_model, random_ground_term
+from gen import random_closed_model, random_ground_term, random_unitary_action
 from hdql import calculus
 from hdql import hilbert as hl
 from hdql import semantics as sm
@@ -594,3 +594,180 @@ class TestProofRebuilds:
                             lambda self: calls.append(1) or validate(self))
         calculus.rename_proof(chi, tree)
         assert len(calls) == 1
+
+
+# ------------------------------------------------ the compound-sentence rules
+
+TABLE_RULES = (RuleId.RET_I, RuleId.RET_E, RuleId.STORE_I, RuleId.STORE_E,
+               RuleId.CONJ_I, RuleId.CONJ_E, RuleId.FT_I, RuleId.FT_E,
+               RuleId.COMP_I, RuleId.COMP_E, RuleId.UNION_I, RuleId.UNION_E)
+# CompE proves [a;b] c from [a][b] c; CompI is its elimination
+INTRODUCTIONS = {RuleId.RET_I, RuleId.STORE_I, RuleId.CONJ_I, RuleId.FT_I,
+                 RuleId.COMP_E, RuleId.UNION_I}
+
+
+def _mutant_sources():
+    """(signature, prover proof) pairs: the teleport demo, [x*]-style stars,
+    implications and random clause sets over random actions (``gen.py``)."""
+    from conftest import make_teleport_signature
+    sig, axioms, start, goal = make_teleport_signature(0.6, 0.8)
+    yield sig, prove(sig, axioms, start, goal).tree
+    qsig = qubit_sig()
+    for gamma, k, goal in [(["[x*] p"], "x(x(v0))", "p"),
+                           (["@(v0) p", "@(v1) p"], "v0", "[x*] p"),
+                           (["[(x | h)*] (p /\\ q)"], "h(x(v0))", "q"),
+                           (["@(v0) [(x ; h)*] p"], "h(x(h(x(v0))))", "p"),
+                           (["@(v0) p", "@(v1) p"], "v0", "[(x ; x)*] (p /\\ [x] p)"),
+                           # premises under an implication have a larger clause set
+                           (["r", "@(v1) q"], "v0", "(@(v0) p) => (q => r)"),
+                           (["@(v1) [x] q"], "v0", "(@(v0) [h ; x] p) => (@(v1) [x] q /\\ [h] [x] p)")]:
+        result = prove(qsig, [parse(c) for c in gamma], parse_term(k), parse(goal))
+        assert result.holds, goal
+        yield qsig, result.tree
+    rng = np.random.default_rng(8)
+    syms, found = ["h", "x", "m0"], 0
+    while found < 40:
+        gamma = [At(Name(str(rng.choice(["v0", "v1"]))),
+                    Nec(random_unitary_action(rng, 2, syms, allow_star=False),
+                        random_basic(rng, 1)))
+                 for _ in range(int(rng.integers(1, 3)))]
+        gamma += [random_basic(rng, 2) for _ in range(int(rng.integers(0, 3)))]
+        if rng.random() < 0.5:  # a clause at its anchor: deep decomposition
+            c = gamma[int(rng.integers(len(gamma)))]
+            k, goal = (c.term, c.body) if isinstance(c, At) else (Name("v0"), c)
+        else:
+            k, goal = random_ground_term(rng, 2, ["v0", "v1"], syms), random_basic(rng, 2)
+        result = prove(qsig, gamma, k, goal)
+        if result.holds and result.tree.premises:
+            found += 1
+            yield qsig, result.tree
+
+
+def _with_paths(tree):
+    out, stack = [], [(tree, ())]
+    while stack:
+        node, path = stack.pop()
+        out.append((node, path))
+        stack += [(p, path + (i,)) for i, p in reversed(list(enumerate(node.premises)))]
+    return out
+
+
+def _replaced(tree, path, node):
+    if not path:
+        return node
+    premises = list(tree.premises)
+    premises[path[0]] = _replaced(premises[path[0]], path[1:], node)
+    return ProofTree(tree.conclusion, tree.rule, tuple(premises), tree.certificate)
+
+
+def _mutants(tree, rng, n):
+    """(mutant, its mutated node) n times: one node's rule is swapped, its
+    goal or term is another node's, or a premise is dropped or added."""
+    nodes, rules = _with_paths(tree), list(RuleId)
+    for _ in range(n):
+        node, path = nodes[int(rng.integers(len(nodes)))]
+        other = nodes[int(rng.integers(len(nodes)))][0]
+        c, prem, cert = node.conclusion, node.premises, node.certificate
+        kind = int(rng.integers(5))
+        if kind == 0:
+            new = ProofTree(c, rules[int(rng.integers(len(rules)))], prem, cert)
+        elif kind == 1:
+            new = ProofTree(Sequent(c.gamma, c.k, other.conclusion.goal), node.rule, prem, cert)
+        elif kind == 2:
+            new = ProofTree(Sequent(c.gamma, other.conclusion.k, c.goal), node.rule, prem, cert)
+        elif kind == 3 and prem:
+            i = int(rng.integers(len(prem)))
+            new = ProofTree(c, node.rule, prem[:i] + prem[i + 1:], cert)
+        else:
+            i = int(rng.integers(len(prem) + 1))
+            new = ProofTree(c, node.rule, prem[:i] + (other,) + prem[i:], cert)
+        yield _replaced(tree, path, new), new
+
+
+def _sequent(k, goal, gamma):
+    return Sequent(gamma, parse_term(k), parse(goal))
+
+
+# rule -> (its node's conclusion, its premises' conclusions), as (term, sentence)
+# text; then the same node with one component wrong
+_GOOD_AND_WRONG = {
+    RuleId.RET_I: ((("v0", "@(v1) p"), [("v1", "p")]),
+                   (("v0", "@(v1) p"), [("v0", "p")])),
+    RuleId.RET_E: ((("v1", "p"), [("v0", "@(v1) p")]),
+                   (("v1", "q"), [("v0", "@(v1) p")])),
+    RuleId.STORE_I: ((("v0", "store y . @(y) p"), [("v0", "@(v0) p")]),
+                     (("v0", "store y . @(y) p"), [("v0", "@(v1) p")])),
+    RuleId.STORE_E: ((("v0", "@(v0) p"), [("v0", "store y . @(y) p")]),
+                     (("v1", "@(v0) p"), [("v0", "store y . @(y) p")])),
+    RuleId.CONJ_I: ((("v0", "p /\\ q"), [("v0", "p"), ("v0", "q")]),
+                    (("v0", "p /\\ q"), [("v0", "q"), ("v0", "p")])),
+    RuleId.CONJ_E: ((("v0", "q"), [("v0", "p /\\ q")]),
+                    (("v0", "r"), [("v0", "p /\\ q")])),
+    RuleId.FT_I: ((("v0", "[x] p"), [("x(v0)", "p")]),
+                  (("v0", "[x] p"), [("h(v0)", "p")])),
+    RuleId.FT_E: ((("x(v0)", "p"), [("v0", "[x] p")]),
+                  (("v0", "p"), [("v0", "[x] p")])),
+    RuleId.COMP_I: ((("v0", "[x] [h] p"), [("v0", "[x ; h] p")]),
+                    (("v0", "[h] [x] p"), [("v0", "[x ; h] p")])),
+    RuleId.COMP_E: ((("v0", "[x ; h] p"), [("v0", "[x] [h] p")]),
+                    (("v0", "[x ; h] p"), [("v0", "[h] [x] p")])),
+    RuleId.UNION_I: ((("v0", "[x | h] p"), [("v0", "[x] p"), ("v0", "[h] p")]),
+                     (("v0", "[x | h] p"), [("v0", "[h] p"), ("v0", "[x] p")])),
+    RuleId.UNION_E: ((("v0", "[h] p"), [("v0", "[x | h] p")]),
+                     (("v0", "[x ; h] p"), [("v0", "[x | h] p")])),
+}
+
+
+def _node(rule, conclusion, premises, gamma, premise_gamma=None):
+    leaves = tuple(ProofTree(_sequent(*p, premise_gamma or gamma), RuleId.MONOTONICITY)
+                   for p in premises)
+    return ProofTree(_sequent(*conclusion, gamma), rule, leaves)
+
+
+class TestRuleTable:
+    def test_same_verdicts_as_the_hand_written_branches(self):
+        import reference_kernel as ref
+        rng = np.random.default_rng(2024)
+        accepted, rejected, count = set(), set(), 0
+        for sig, tree in _mutant_sources():
+            assert check_proof(sig, tree).ok
+            for mutant, node in _mutants(tree, rng, 70):
+                new = check_proof(sig, mutant)
+                with pytest.MonkeyPatch.context() as m:  # the same walk, the old branches
+                    m.setattr(calculus, "_check_node", ref._check_node)
+                    old = check_proof(sig, mutant)
+                assert (new.ok, new.path) == (old.ok, old.path), (new, old)
+                count += 1
+                if new.ok:
+                    accepted.add(node.rule)
+                else:
+                    rejected.add(dict((p, n) for n, p in _with_paths(mutant))[new.path].rule)
+        assert count >= 3000
+        assert accepted >= set(TABLE_RULES) and rejected >= set(TABLE_RULES)
+
+    @pytest.mark.parametrize("rule", TABLE_RULES, ids=lambda r: r.value)
+    def test_wrong_shape_component_or_context_is_rejected(self, rule):
+        sig = qubit_sig()
+        good, wrong = _GOOD_AND_WRONG[rule]
+        gamma = tuple(parse(s) for _, s in good[1])  # the premises are members
+        assert check_proof(sig, _node(rule, *good, gamma)).ok
+        (k, goal), premises = good
+        if rule in INTRODUCTIONS:
+            shape = ((k, "p"), premises)  # an introduction of a proposition
+        else:
+            shape = ((k, goal), [(premises[0][0], "p")])  # eliminating one
+        for conclusion, premises in (shape, wrong):
+            res = check_proof(sig, _node(rule, conclusion, premises, gamma))
+            assert not res.ok and res.path == () and rule.value in res.reason
+        # the good node, with its premises over another clause set
+        res = check_proof(sig, _node(rule, *good, gamma, gamma + (Prop("r2"),)))
+        assert not res.ok and res.path == () and rule.value in res.reason
+
+    @pytest.mark.parametrize("rule, conclusion, premise", [
+        (RuleId.FT_I, ("v0", "[y] p"), ("y(v0)", "p")),
+        (RuleId.FT_E, ("y(v0)", "p"), ("v0", "[y] p"))])
+    def test_unknown_operation_symbol_is_rejected(self, rule, conclusion, premise):
+        gamma = (parse(premise[1]),)
+        res = check_proof(qubit_sig(), _node(rule, conclusion, [premise], gamma))
+        assert not res.ok and res.path == ()
+        assert res.reason == f"{rule.value}: unknown operation symbol 'y'"

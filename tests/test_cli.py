@@ -165,6 +165,23 @@ class TestCheck:
         assert output.startswith("trace rejected at node [")
         assert "RetE: expects 1 premises, got 0" in output
 
+    @pytest.mark.parametrize("n", [5000, 10 ** 12])
+    def test_huge_star_certificate_is_rejected(self, tmp_path, n):
+        # an n-fold unrolling has at least n nodes, so the kernel rejects a
+        # larger certificate without building the unrolling
+        path = tmp_path / "star.hdql"
+        path.write_text("SPACE 2\nVECTORS\n  v0 = (1, 0)\nUNITARY\n  x = X\nPROPS\n  p\n"
+                        "AXIOMS\n  [x*] p\nGOAL AT v0 PROVE p\n")
+        trace = tmp_path / "star.trace"
+        assert run(["check", str(path), "--trace", str(trace)])[0] == 0
+        text = trace.read_text()
+        assert "StarE | v0 | p [n=0]\n" in text
+        trace.write_text(text.replace("[n=0]", f"[n={n}]"))
+        code, output = run(["recheck", str(path), str(trace)])
+        assert code == 1
+        assert output.startswith("trace rejected at node []: StarE")
+        assert "internal error" not in output and "Traceback" not in output
+
     def test_3000_deep_trace_rechecks(self, tmp_path):
         # the kernel walks the tree with an explicit stack, not by recursion
         rows = self.emitted_trace(tmp_path).splitlines()
