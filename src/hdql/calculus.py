@@ -1,12 +1,14 @@
 """Sequent calculus: proof objects, a trusted checking kernel, and a prover.
 
-Proof trees are plain data; ``check_proof`` re-validates every node against
-its rule schema, recomputing all numeric side conditions (diagram equality,
-span membership, orbit closure), so anything the prover emits is
-independently certified. The prover is a deterministic backward chainer:
-right rules decompose the goal, a forward saturation pass turns the clause
-set into atomic facts, and closed propositions close under origin, scalar
-multiples, sums and finite-basis spans.
+Proof trees are plain data, and a proof may share a subtree between several
+places (the prover builds one SpanClosure premise family per span); traces
+still write it out at each place. ``check_proof`` re-validates each node
+object once per signature against its rule schema, recomputing all numeric
+side conditions (diagram equality, span membership, orbit closure), so
+anything the prover emits is independently certified. The prover is a
+deterministic backward chainer: right rules decompose the goal, a forward
+saturation pass turns the clause set into atomic facts, and closed
+propositions close under origin, scalar multiples, sums and finite-basis spans.
 
 The introduction and elimination rules of the compound sentences (retrieve,
 store, conjunction, and [f], [a;b] and [a|b] necessities) are defined once,
@@ -197,27 +199,37 @@ def check_proof(sig: SignatureInstance, tree: ProofTree,
     Nodes are checked in pre-order from an explicit stack, so the first bad
     node is reported and depth is not bounded by Python's recursion limit.
     A side condition that raises an HdqlError (an unknown name, a vector of
-    the wrong dimension, a missing premise) rejects its node.
+    the wrong dimension, a missing premise) rejects its node. A node object
+    met again in one signature is skipped, as its first place checked it.
     """
-    stack = [(sig, tree, ())]
+    seen, spans = {}, {}  # (signature, node) -> its first place; SpanClosure spans
+    stack = [(sig, tree, (None, None, spans))]
     while stack:
-        sig, t, path = stack.pop()
+        sig, t, place = stack.pop()
+        if seen.setdefault((sig, t), place) is not place:  # checked at its first place
+            continue
         try:
-            bad = _check_node(sig, t, budget, path)
+            bad = _check_node(sig, t, budget, place)
         except BudgetExceeded as e:
             return CheckResult(False, (), f"budget exceeded: {e}")
         except HdqlError as e:
-            bad = _bad(path, f"{t.rule.value}: {e}")
+            bad = _bad(place, f"{t.rule.value}: {e}")
         if bad is not None:
             return bad
         if t.rule is RuleId.TRANSLATION:  # the premise lives in the source signature
             sig = t.certificate.source
-        stack += [(sig, p, path + (i,)) for i, p in reversed(list(enumerate(t.premises)))]
+        stack += [(sig, p, (place, i, spans)) for i, p in reversed(list(enumerate(t.premises)))]
     return CheckResult(True)
 
 
-def _bad(path, reason) -> CheckResult:
-    return CheckResult(False, path, reason)
+def _bad(place, reason) -> CheckResult:
+    """Reject the node at place: (its parent's place, its index there, the
+    check's memo of SpanClosure spans). Only a rejected node's path is built."""
+    path = []
+    while place[0] is not None:
+        path.append(place[1])
+        place = place[0]
+    return CheckResult(False, tuple(reversed(path)), reason)
 
 
 def _closed_prop(sig, goal) -> bool:
@@ -225,8 +237,9 @@ def _closed_prop(sig, goal) -> bool:
 
 
 def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
-                path: tuple[int, ...]) -> CheckResult | None:
-    """Why one node breaks its rule schema, or None if it does not."""
+                path: tuple) -> CheckResult | None:
+    """Why the node at path (a place, see _bad) breaks its rule schema, or
+    None if it does not."""
     gamma, k, goal = t.conclusion.gamma, t.conclusion.k, t.conclusion.goal
     rule = t.rule
     prem = t.premises
@@ -288,17 +301,20 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
     elif rule is RuleId.SPAN_CLOSURE:
         if not _closed_prop(sig, goal):
             return _bad(path, "SpanClosure: goal must be a closed proposition")
-        vecs = []
+        key = (sig, tuple(p.conclusion.k for p in prem))  # path[2] maps it to its span
+        span, vecs = path[2].get(key), []
         for i, p in enumerate(prem):
             if not same_context(p) or p.conclusion.goal != goal:
                 return _bad(path, f"SpanClosure: premise {i} proves something else")
-            vecs.append(eval_term(sig, p.conclusion.k))
-        if vecs:
-            gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-            if np.max(np.abs(gram - np.eye(len(vecs)))) > max(sig.tol, 1e-10):
-                return _bad(path, "SpanClosure: premise family is not orthonormal")
-        span = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
-                else hl.zero_subspace(sig.dim))
+            if span is None:
+                vecs.append(eval_term(sig, p.conclusion.k))
+        if span is None:
+            if vecs:
+                gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
+                if np.max(np.abs(gram - np.eye(len(vecs)))) > max(sig.tol, 1e-10):
+                    return _bad(path, "SpanClosure: premise family is not orthonormal")
+            span = path[2][key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
+                                 else hl.zero_subspace(sig.dim))
         if not hl.member(span, eval_term(sig, k), sig.tol):
             return _bad(path, "SpanClosure: conclusion vector lies outside the span")
     elif rule is RuleId.EQ:
@@ -449,7 +465,7 @@ class _Saturation:
         self.sites: dict[int, None] = {}
         self.walked: set[sx.Term] = set()  # terms register_site walked in full
         self.span_dirty: set[str] = set()
-        self.spans: dict[str, tuple] = {}  # r -> (basis rows, combos)
+        self.spans: dict[str, tuple] = {}  # r -> (basis, entries, premises or None)
         self.incomplete = False
         for c in gamma:
             self._add_universal(c, self._mono_builder(c))
@@ -593,7 +609,7 @@ class _Saturation:
 
     # -- spans for closed propositions ---------------------------------------
     def span_of(self, r: str):
-        """Orthonormal basis of the provable span plus combination data."""
+        """Orthonormal basis of the provable span, its entries and premises."""
         if r in self.span_dirty or r not in self.spans:
             self.span_dirty.discard(r)
             entries = [(cid, proof) for (s, cid), proof in self.facts.items()
@@ -603,7 +619,7 @@ class _Saturation:
                 basis = hl.orthonormalize(vecs, dim=self.sig.dim, tol=self.sig.tol)
             else:
                 basis = hl.zero_subspace(self.sig.dim)
-            self.spans[r] = (basis, entries)
+            self.spans[r] = (basis, entries, None)
         return self.spans[r]
 
     def availability(self, imp_index: int, k: sx.Term):
@@ -689,6 +705,9 @@ class _Prover:
 
     def prove(self, gamma: tuple[sx.Sentence, ...], k: sx.Term,
               goal: sx.Sentence, allow_mp: bool = True) -> ProofTree | None:
+        """A proof of goal at k, or None. k is ground: ProofSession.prove checks
+        the root, an @(t) component checks t, the others are k or f(k), the
+        span rules descend into k's subterms, _fire uses class representatives."""
         self.counter.spend()
         sat = self.saturation(gamma)
         if goal in gamma:
@@ -706,11 +725,11 @@ class _Prover:
         entry = _components(k, goal)
         if entry is None:
             return None
+        if isinstance(goal, At) and not sat.is_ground(goal.term):
+            return None
         intro, _, components = entry
         premises = []
         for t, part in components:
-            if t is not k and not sat.is_ground(t):
-                return None
             sub = self.prove(gamma, t, part, allow_mp)
             if sub is None:
                 return None
@@ -718,8 +737,6 @@ class _Prover:
         return ProofTree(Sequent(gamma, k, goal), intro, tuple(premises))
 
     def _prove_star(self, gamma, sat: _Saturation, k: sx.Term, goal: Nec, allow_mp: bool):
-        if not sat.is_ground(k):
-            return None
         a = goal.action
         _, period, closed = orbit(QuantumModel(self.sig, {}), a.body, sat.vector(k),
                                   self.budget.star, verdict_only=True)
@@ -737,8 +754,6 @@ class _Prover:
 
     def _prove_prop(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop,
                     allow_mp: bool):
-        if not sat.is_ground(k):
-            return None
         if goal in sat.universal:
             return sat.universal[goal](k)
         sat.register_site(k)
@@ -774,33 +789,32 @@ class _Prover:
         return _adapt_eq(sat, proof, k)
 
     def _prove_by_span(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop):
-        basis, entries = sat.span_of(goal.name)
-        if basis.rank == 0 or not entries:
+        basis, entries, family = sat.span_of(goal.name)
+        if basis.rank == 0 or not entries or not hl.member(basis, sat.vector(k), self.sig.tol):
             return None
-        if not hl.member(basis, sat.vector(k), self.sig.tol):
-            return None
-        fact_matrix = sat.class_vecs.rows[[cid for cid, _ in entries]]
-        premises = []
-        for row in basis.basis:
-            coeffs, *_ = np.linalg.lstsq(fact_matrix.T, row, rcond=None)
-            parts = []
-            for c, (cid, fact) in zip(coeffs, entries):
-                if abs(c) <= 1e-12:
-                    continue
-                base = _adapt_eq(sat, fact, sat.class_terms[cid])
-                term = TSmul(complex(c), base.conclusion.k)
-                parts.append(ProofTree(Sequent(gamma, term, goal), RuleId.MULT,
-                                       (base,)))
-            if not parts:
-                return None
-            combo = parts[0]
-            for nxt in parts[1:]:
-                term = TSum(combo.conclusion.k, nxt.conclusion.k)
-                combo = ProofTree(Sequent(gamma, term, goal), RuleId.ADD,
-                                  (combo, nxt))
-            premises.append(combo)
-        return ProofTree(Sequent(gamma, k, goal), RuleId.SPAN_CLOSURE,
-                         tuple(premises))
+        if family is None:  # it does not depend on k: every SpanClosure shares it
+            fact_matrix = sat.class_vecs.rows[[cid for cid, _ in entries]]
+            premises = []
+            for row in basis.basis:
+                coeffs, *_ = np.linalg.lstsq(fact_matrix.T, row, rcond=None)
+                parts = []
+                for c, (cid, fact) in zip(coeffs, entries):
+                    if abs(c) <= 1e-12:
+                        continue
+                    base = _adapt_eq(sat, fact, sat.class_terms[cid])
+                    term = TSmul(complex(c), base.conclusion.k)
+                    parts.append(ProofTree(Sequent(gamma, term, goal), RuleId.MULT,
+                                           (base,)))
+                if not parts:
+                    return None
+                combo = parts[0]
+                for nxt in parts[1:]:
+                    term = TSum(combo.conclusion.k, nxt.conclusion.k)
+                    combo = ProofTree(Sequent(gamma, term, goal), RuleId.ADD,
+                                      (combo, nxt))
+                premises.append(combo)
+            sat.spans[goal.name] = (basis, entries, tuple(premises))
+        return ProofTree(Sequent(gamma, k, goal), RuleId.SPAN_CLOSURE, sat.spans[goal.name][2])
 
     def _prove_by_mp(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop):
         cid = sat.intern(k)

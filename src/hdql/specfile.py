@@ -346,15 +346,20 @@ def valuation_model(spec: LoadedSpec) -> QuantumModel:
 # ----------------------------------------------------------- trace formats
 #
 # Both formats are thin layers over one record walk. A record is one proof
-# node in pre-order: (depth, rule, term text, sentence text, certificate).
+# node in pre-order: (depth, (rule, term text, sentence text, certificate)).
 
 def _records(tree: ProofTree):
-    """Pre-order records of a proof tree; an explicit stack, so any depth."""
+    """Pre-order records of a proof tree; an explicit stack, so any depth.
+    A node object met again (a shared subproof) is formatted once."""
+    rows: dict[ProofTree, tuple] = {}
     for node, depth in walk_proof(tree, 0, lambda node, depth: depth + 1):
-        cert = node.certificate
-        yield (depth, node.rule.value, sx.format_term(node.conclusion.k),
-               sx.format_sentence(node.conclusion.goal),
-               cert if isinstance(cert, int) else None)
+        row = rows.get(node)
+        if row is None:
+            cert = node.certificate
+            row = rows[node] = (node.rule.value, sx.format_term(node.conclusion.k),
+                                sx.format_sentence(node.conclusion.goal),
+                                cert if isinstance(cert, int) else None)
+        yield depth, row
 
 
 def serialize_trace(gamma, tree: ProofTree) -> str:
@@ -362,7 +367,7 @@ def serialize_trace(gamma, tree: ProofTree) -> str:
     gamma = tuple(gamma)
     lines = ["HDQL-TRACE 1", f"gamma {len(gamma)}"]
     lines += ["  " + sx.format_sentence(c) for c in gamma] + ["proof"]
-    for depth, rule, term, goal, cert in _records(tree):
+    for depth, (rule, term, goal, cert) in _records(tree):
         suffix = "" if cert is None else f" [n={cert}]"
         lines.append(f"{'  ' * depth}{rule} | {term} | {goal}{suffix}")
     return "\n".join(lines) + "\n"
@@ -372,7 +377,7 @@ def trace_to_json(gamma, tree: ProofTree) -> str:
     """JSON mirror of the text trace, written compact on one line."""
     roots: list[dict] = []
     path: list[dict] = []  # path[d] is the latest node at depth d
-    for depth, rule, term, goal, cert in _records(tree):
+    for depth, (rule, term, goal, cert) in _records(tree):
         node = {"rule": rule, "term": term, "goal": goal,
                 "certificate": cert, "premises": []}
         del path[depth:]

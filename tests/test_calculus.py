@@ -14,7 +14,7 @@ from hdql.calculus import (ProofSession, ProofTree, RuleId, SearchBudget, Sequen
                            restrict_premises, used_premises)
 from hdql.errors import ProofError
 from hdql.semantics import FiniteVectors, QuantumModel, StarBudget
-from hdql.specfile import serialize_trace
+from hdql.specfile import serialize_trace, trace_to_json
 from hdql.syntax import (And, At, Imp, Name, Nec, Origin, Prop, QImp, TApp,
                          TSmul, TSum, VecLit, parse, parse_term)
 
@@ -771,3 +771,182 @@ class TestRuleTable:
         res = check_proof(qubit_sig(), _node(rule, conclusion, [premise], gamma))
         assert not res.ok and res.path == ()
         assert res.reason == f"{rule.value}: unknown operation symbol 'y'"
+
+
+# ------------------------------------------------------------ shared subproofs
+
+def rotation_sig(closed=("r",)):
+    """The qubit rotation by 45 degrees, of order 8, with two states spanning
+    the plane (as in demos/rotation.hdql)."""
+    c = 1 / np.sqrt(2)
+    return sg.SignatureInstance(
+        dim=2, unitaries={"g": np.array([[c, -c], [c, c]], dtype=complex)},
+        measurements={},
+        named_vectors={"v0": hl.vector([0.6, 0.8]), "v1": hl.vector([0.8, -0.6])},
+        props=frozenset({"q", "r"}), closed_props=frozenset(closed))
+
+
+def _rotation_proof():
+    """[g*] r at v0 from r at v0 and at v1: eight SpanClosures of r."""
+    sig = rotation_sig()
+    result = prove(sig, [parse("@(v0) r"), parse("@(v1) r")], Name("v0"), parse("[g*] r"))
+    assert result.holds and result.tree.certificate == 7
+    return sig, result.tree
+
+
+def _span_closures(tree):
+    return [n for n in proof_nodes(tree) if n.rule is RuleId.SPAN_CLOSURE]
+
+
+def _unshared(t):
+    """A copy of the proof in which no node object occurs twice."""
+    return ProofTree(t.conclusion, t.rule, tuple(map(_unshared, t.premises)), t.certificate)
+
+
+def _replaced_everywhere(tree, old, new):
+    """The proof with the node object old replaced by new at each of its
+    places; every other node object is rebuilt once, so sharing is kept."""
+    built = {old: new}
+
+    def rebuild(node):
+        if node not in built:
+            premises = tuple(map(rebuild, node.premises))
+            built[node] = ProofTree(node.conclusion, node.rule, premises, node.certificate)
+        return built[node]
+    return rebuild(tree)
+
+
+def _both_kernels(sig, tree):
+    """(ok, path) of the kernel and of the reference kernel's node checks."""
+    import reference_kernel as ref
+    new = check_proof(sig, tree)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(calculus, "_check_node", ref._check_node)
+        old = check_proof(sig, tree)
+    return (new.ok, new.path), (old.ok, old.path)
+
+
+class TestSharedSubproofs:
+    def test_every_span_closure_shares_one_premise_family(self):
+        sig, tree = _rotation_proof()
+        closures = _span_closures(tree)
+        assert len(closures) == 8 and len(closures[0].premises) == 2
+        assert all(n.premises is closures[0].premises for n in closures)
+        assert check_proof(sig, tree).ok
+
+    def test_a_fact_that_enlarges_the_span_gets_a_new_family(self):
+        sig = rotation_sig()
+        session = ProofSession(sig, [parse("@(v0) r"), parse("@(v1) q"),
+                                     parse("(@(v1) q) => (@(v1) r)")])
+        first = session.prove(Name("v0"), Prop("r")).tree
+        assert first.rule is RuleId.SPAN_CLOSURE and len(first.premises) == 1
+        session.register_terms([])  # fires the implication: r holds at v1 too
+        second = session.prove(Name("v0"), parse("[g*] r")).tree
+        closures = _span_closures(second)
+        assert len(closures) == 8 and len(closures[0].premises) == 2
+        assert all(n.premises is closures[0].premises for n in closures)
+        assert check_proof(sig, first).ok and check_proof(sig, second).ok
+
+    def test_the_kernel_checks_each_node_object_once(self, monkeypatch):
+        sig, tree = _rotation_proof()
+        checked = []
+        check_node = calculus._check_node
+        monkeypatch.setattr(calculus, "_check_node", lambda sig, t, budget, path:
+                            checked.append(t) or check_node(sig, t, budget, path))
+        assert check_proof(sig, tree).ok
+        distinct = set(proof_nodes(tree))
+        assert len(checked) == len(set(checked)) == len(distinct)
+        assert len(distinct) < sum(1 for _ in proof_nodes(tree))
+
+    def test_a_corrupted_shared_node_is_rejected_at_its_first_place(self):
+        sig, tree = _rotation_proof()
+        family = _span_closures(tree)[0].premises
+        bad = ProofTree(family[1].conclusion, RuleId.MONOTONICITY)  # r is no member
+        mutant = _replaced_everywhere(tree, family[1], bad)
+        places = [path for node, path in _with_paths(mutant) if node is bad]
+        assert len(places) == 8
+        res = check_proof(sig, mutant)
+        assert not res.ok and res.path == places[0]
+        assert res.reason == "Monotonicity: goal is not a member of the clause set"
+        new, old = _both_kernels(sig, mutant)
+        assert new == old
+        assert check_proof(sig, _unshared(mutant)) == res
+
+    def test_shared_node_mutants_get_the_verdicts_of_the_tree(self):
+        rng = np.random.default_rng(2025)
+        sig, tree = _rotation_proof()
+        nodes = [n for n, _ in _with_paths(tree)]
+        shared = [n for n in set(nodes) if nodes.count(n) > 1]
+        assert len(shared) == 6  # the two rows of the family, down to the leaves
+        verdicts = []
+        for node in sorted(shared, key=lambda n: nodes.index(n)):
+            for sub, _ in _mutants(node, rng, 20):
+                mutant = _replaced_everywhere(tree, node, sub)
+                new, old = _both_kernels(sig, mutant)
+                plain = check_proof(sig, _unshared(mutant))
+                assert new == old == (plain.ok, plain.path)
+                verdicts.append(new[0])
+        assert True in verdicts and False in verdicts
+
+    def test_rebuilds_and_traces_are_those_of_the_tree(self):
+        sig, tree = _rotation_proof()
+        plain = _unshared(tree)
+        target, chi = _renaming(sig)
+        used = used_premises(tree)
+        assert used == used_premises(plain) and set(used) == set(tree.conclusion.gamma)
+        pairs = [(tree, plain),
+                 (calculus.rename_proof(chi, tree), calculus.rename_proof(chi, plain)),
+                 (restrict_premises(tree, used), restrict_premises(plain, used))]
+        for shared, copy in pairs:
+            assert _rows(shared) == _rows(copy)
+            g = shared.conclusion.gamma
+            assert serialize_trace(g, shared) == serialize_trace(g, copy)
+            assert trace_to_json(g, shared) == trace_to_json(g, copy)
+        for rebuilt, _ in pairs[1:]:  # a rebuild is a tree again
+            assert len(set(proof_nodes(rebuilt))) == sum(1 for _ in proof_nodes(rebuilt))
+        assert check_proof(target, pairs[1][0]).ok and check_proof(sig, pairs[2][0]).ok
+
+    def test_a_subtree_under_a_translation_is_checked_in_each_signature(self, monkeypatch):
+        # r is closed in the target only: the origin node holds there alone
+        source, target = rotation_sig(closed=()), rotation_sig()
+        chi = sg.Morphism(source, target, unitaries={"g": "g"},
+                          vectors={"v0": "v0", "v1": "v1"}, props={"q": "q", "r": "r"})
+        origin = ProofTree(Sequent((), Origin(), Prop("r")), RuleId.ORIGIN)
+        moved = ProofTree(origin.conclusion, RuleId.TRANSLATION, (origin,), chi)
+        tree = ProofTree(Sequent((), Origin(), parse("r /\\ r")), RuleId.CONJ_I,
+                         (origin, moved))
+        checked = []
+        check_node = calculus._check_node
+        monkeypatch.setattr(calculus, "_check_node", lambda sig, t, budget, path:
+                            checked.append((sig, t)) or check_node(sig, t, budget, path))
+        res = check_proof(target, tree)
+        assert checked == [(target, tree), (target, origin), (target, moved), (source, origin)]
+        assert not res.ok and res.path == (1, 0)
+        assert res.reason == "Origin: goal must be a closed proposition"
+
+    def test_a_premise_span_is_remembered_per_signature_and_family(self):
+        # v0 and v1 are orthonormal within the loose tolerance only
+        def sig(tol):
+            return sg.SignatureInstance(
+                dim=2, unitaries={}, measurements={},
+                named_vectors={"v0": K0, "v1": hl.vector([1e-5, 1]) / np.hypot(1e-5, 1)},
+                props=frozenset({"r"}), closed_props=frozenset({"r"}), tol=tol)
+        loose, tight = sig(1e-3), sig(1e-9)
+        chi = sg.Morphism(tight, loose, vectors={"v0": "v0", "v1": "v1"}, props={"r": "r"})
+        gamma = (Prop("r"),)
+        family = tuple(ProofTree(Sequent(gamma, Name(v), Prop("r")), RuleId.MONOTONICITY)
+                       for v in ("v0", "v1"))
+        here, there = (ProofTree(Sequent(gamma, Name("v0"), Prop("r")), RuleId.SPAN_CLOSURE,
+                                 family) for _ in range(2))
+        moved = ProofTree(there.conclusion, RuleId.TRANSLATION, (there,), chi)
+        tree = ProofTree(Sequent(gamma, Name("v0"), parse("r /\\ r")), RuleId.CONJ_I,
+                         (here, moved))
+        res = check_proof(loose, tree)
+        assert not res.ok and res.path == (1, 0)
+        assert res.reason == "SpanClosure: premise family is not orthonormal"
+        assert check_proof(loose, ProofTree(tree.conclusion, RuleId.CONJ_I, (here, here))).ok
+        # v0 lies in the span of the first family, not in that of the second
+        other = ProofTree(here.conclusion, RuleId.SPAN_CLOSURE, family[1:])
+        res = check_proof(loose, ProofTree(tree.conclusion, RuleId.CONJ_I, (here, other)))
+        assert not res.ok and res.path == (1,)
+        assert res.reason == "SpanClosure: conclusion vector lies outside the span"
