@@ -367,8 +367,7 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
             want = _star_power(body_action, i, goal.body)
             if not same_context(p) or p.conclusion.k != k or p.conclusion.goal != want:
                 return _bad(path, f"StarI: premise {i} is not the {i}-fold unrolling")
-        _, period, closed = orbit(QuantumModel(sig, {}), body_action,
-                                  eval_term(sig, k), budget, verdict_only=True)
+        _, period, closed = orbit(QuantumModel(sig, {}), body_action, eval_term(sig, k), budget)
         if not closed:
             return _bad(path, "StarI: successor orbit does not close within budget")
         if period > m:
@@ -577,23 +576,21 @@ class _Saturation:
             self._eliminate_fact(s, term, builder(term))
 
     def _unroll_star(self, s: sx.Sentence, builder, term: sx.Term) -> None:
-        before = len(self.facts)
-        quiet = 0
-        for n in range(self.budget.star.max_iterations + 1):
+        """StarE of the star fact s at term for n = 0..period, the rounds the
+        body's orbit from term's state takes to close (the orbit StarI reads):
+        every state of the orbit is then reached by some unrolling. An orbit
+        that does not close leaves the saturation incomplete."""
+        _, period, closed = orbit(QuantumModel(self.sig, {}), s.action.body,
+                                  self.vector(term), self.budget.star)
+        for n in range(period + 1):
             self.counter.spend()
             inst = _star_power(s.action.body, n, s.body)
             proof = ProofTree(Sequent(self.gamma, term, inst), RuleId.STAR_E,
                               (builder(term),), certificate=n)
             self.add_fact(inst, term, proof)
             self.drain()
-            if len(self.facts) == before:
-                quiet += 1
-                if quiet >= 2:
-                    return
-            else:
-                quiet = 0
-                before = len(self.facts)
-        self.incomplete = True
+        if not closed:
+            self.incomplete = True
 
     def _eliminate_fact(self, s: sx.Sentence, term: sx.Term, proof: ProofTree) -> None:
         if isinstance(s, Nec) and isinstance(s.action, AStar):
@@ -642,8 +639,7 @@ def _adapt_eq(sat: _Saturation, proof: ProofTree, k: sx.Term) -> ProofTree:
 
 
 class _Prover:
-    def __init__(self, sig: SignatureInstance, gamma: tuple[sx.Sentence, ...],
-                 budget: SearchBudget):
+    def __init__(self, sig: SignatureInstance, budget: SearchBudget):
         self.sig = sig
         self.budget = budget
         self.counter = _Counter(budget.max_nodes)
@@ -739,7 +735,7 @@ class _Prover:
     def _prove_star(self, gamma, sat: _Saturation, k: sx.Term, goal: Nec, allow_mp: bool):
         a = goal.action
         _, period, closed = orbit(QuantumModel(self.sig, {}), a.body, sat.vector(k),
-                                  self.budget.star, verdict_only=True)
+                                  self.budget.star)
         if not closed:
             self.star_exhausted = True
             return None
@@ -844,7 +840,7 @@ class ProofSession:
             if not classify_in(sig, c).is_quantum_clause:
                 raise ProofError(f"not a quantum clause: {sx.format_sentence(c)}")
         self.budget = budget
-        self._prover = _Prover(sig, self.gamma, budget)
+        self._prover = _Prover(sig, budget)
 
     def register_terms(self, terms) -> None:
         """Pre-instantiate the clause set at the given ground terms.
@@ -882,20 +878,15 @@ class ProofSession:
         prover = self._prover
         if k not in prover.vectors and not sx.is_ground(k):  # evaluated means ground
             raise ProofError(f"goal term is not ground: {sx.format_term(k)}")
-        star_before = prover.star_exhausted
         prover.star_exhausted = False
         try:
             tree = prover.prove(self.gamma, k, goal)
         except BudgetExceeded as e:
             return ProveResult("unknown", reason=str(e))
         if tree is not None:
-            prover.star_exhausted = prover.star_exhausted or star_before
             return ProveResult("holds", tree=tree)
-        if prover.star_exhausted:
-            return ProveResult("unknown",
-                               reason="a star orbit did not close within budget")
-        if any(sat.incomplete for sat in prover.saturations.values()):
-            return ProveResult("unknown", reason="saturation budget exhausted")
+        if prover.star_exhausted or any(sat.incomplete for sat in prover.saturations.values()):
+            return ProveResult("unknown", reason="a star orbit did not close within budget")
         return ProveResult("fails", reason="no rule applies to the remaining goals")
 
 

@@ -50,9 +50,8 @@ class RunFlags:
     format: str = "text"
 
     def search_budget(self) -> SearchBudget:
-        return SearchBudget(
-            max_nodes=self.budget,
-            star=StarBudget(max_iterations=self.star_bound, tol=self.tolerance))
+        return SearchBudget(max_nodes=self.budget,
+                            star=StarBudget(max_iterations=self.star_bound))
 
 
 @dataclass
@@ -92,7 +91,7 @@ def run_eval(spec: LoadedSpec, state_term: sx.Term, sentence: sx.Sentence,
     try:
         model = valuation_model(spec)
         w = eval_term(spec.sig, state_term)
-        star = StarBudget(max_iterations=flags.star_bound, tol=flags.tolerance)
+        star = flags.search_budget().star
         verdict = sat_at(model, w, sentence, star)
     except BudgetExceeded as e:
         return EXIT_UNKNOWN, f"budget exhausted: {e}"

@@ -5,8 +5,13 @@ get finite vector sets, closed propositions get subspaces. ``sat_at``
 evaluates pointwise; ``closed_extension`` computes the subspace denoted by
 a closed sentence. Star over a unitary action inside a closed sentence is
 computed by an exact greatest-fixpoint iteration on subspaces; any other
-star is handled by orbit enumeration with revisit detection, and budget
-exhaustion is reported rather than silently truncated.
+star is handled by ``orbit``, and budget exhaustion is reported rather than
+silently truncated.
+
+Every star orbit stops by one rule, which the prover, the saturation of
+star facts and the proof kernel read too: it ends at the first round that
+finds no state fresh at the signature's tolerance (the orbit closed), or
+at the first round with an incomplete inner step (it can no longer close).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .signature import Morphism, SignatureInstance, apply_symbol, classify_in, e
 __all__ = [
     "FiniteVectors", "Region", "QuantumModel", "StarBudget", "SuccessorSet",
     "successors", "orbit", "sat_at", "closed_extension", "global_sat", "reduct",
-    "star_fixpoint", "region_member", "validate_model",
+    "star_fixpoint", "region_member",
 ]
 
 
@@ -45,32 +50,15 @@ class QuantumModel:
 
 @dataclass(frozen=True)
 class StarBudget:
-    """Bounds for star semantics.
+    """The round bound of every star: orbit rounds and fixpoint iterations.
 
-    The exact subspace fixpoint needs at most dim + 1 iterations; the
-    default leaves room for that on every desk-scale space. Smaller budgets
-    are allowed and surface as BudgetExceeded when they run out.
+    States are compared at the signature's tolerance, so this is the only
+    setting. The exact subspace fixpoint needs at most dim + 1 iterations;
+    the default leaves room for that on every desk-scale space. Smaller
+    budgets are allowed and surface as BudgetExceeded or as an orbit that
+    does not close.
     """
     max_iterations: int = 64
-    tol: float = DEFAULT_TOL
-
-
-def validate_model(model: QuantumModel) -> list[str]:
-    """Shape violations of the valuation; empty iff well-formed."""
-    out = []
-    for p, region in model.valuation.items():
-        if p not in model.sig.props:
-            out.append(f"valuation mentions undeclared proposition {p!r}")
-        if isinstance(region, Subspace):
-            if region.dim != model.sig.dim:
-                out.append(f"region of {p!r} has dim {region.dim}")
-        else:
-            if p in model.sig.closed_props:
-                out.append(f"closed proposition {p!r} needs a subspace region")
-            for v in region.vectors:
-                if v.shape[0] != model.sig.dim:
-                    out.append(f"region of {p!r} holds a vector of dim {v.shape[0]}")
-    return out
 
 
 def _region(model: QuantumModel, p: str) -> Region:
@@ -124,13 +112,13 @@ def successors(model: QuantumModel, a: sx.Action, w: np.ndarray,
 
 
 def orbit(model: QuantumModel, action: sx.Action, w: np.ndarray,
-          budget: StarBudget = StarBudget(),
-          verdict_only: bool = False) -> tuple[list[np.ndarray], int, bool]:
-    """(states reachable from w by repeating the action, rounds that found
-    fresh states, whether the orbit closed). Exploration goes on past an
-    incomplete inner step, so every state within the budget is listed, unless
-    verdict_only: then it ends there, as the orbit can no longer close."""
-    seen = hl.VectorTable(model.sig.dim, budget.tol, [w])
+          budget: StarBudget = StarBudget()) -> tuple[list[np.ndarray], int, bool]:
+    """(states reached from w by repeating the action, rounds that found
+    fresh states, whether the orbit closed). It ends at the first round that
+    finds no fresh state, or at the first round with an incomplete inner
+    step, as the orbit can then no longer close; if neither comes within
+    the budget's rounds, it has not closed either."""
+    seen = hl.VectorTable(model.sig.dim, model.sig.tol, [w])
     start, complete = 0, True
     for rounds in range(budget.max_iterations):
         end = len(seen.rows)
@@ -140,7 +128,7 @@ def orbit(model: QuantumModel, action: sx.Action, w: np.ndarray,
             for s in step.vectors:
                 if seen.find(s) < 0:
                     seen.add(s)
-        if len(seen.rows) == end or (verdict_only and not complete):
+        if len(seen.rows) == end or not complete:
             return list(seen.rows), rounds, complete
         start = end
     return list(seen.rows), budget.max_iterations, False

@@ -34,12 +34,7 @@ class SignatureInstance:
     named_vectors: dict[str, np.ndarray]
     props: frozenset[str]
     closed_props: frozenset[str]
-    named_scalars: dict[str, complex] = field(default_factory=dict)
     tol: float = DEFAULT_TOL
-
-    @property
-    def action_symbols(self) -> frozenset[str]:
-        return frozenset(self.unitaries) | frozenset(self.measurements)
 
     @cached_property
     def classifier(self):  # what classify_in calls, built on first use

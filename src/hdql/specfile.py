@@ -233,10 +233,14 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
 
     def resolve_state(item: str, where: str) -> np.ndarray | None:
         if item.startswith("("):
-            return _parse_coords(item, where, errors)
-        v = vectors.get(item)
-        if v is None:
-            errors.append(f"{where}: unknown vector name {item!r}")
+            v = _parse_coords(item, where, errors)
+        else:
+            v = vectors.get(item)
+            if v is None:
+                errors.append(f"{where}: unknown vector name {item!r}")
+        if v is not None and v.shape[0] != dim:
+            errors.append(f"{where}: state of dim {v.shape[0]} in space of dim {dim}")
+            return None
         return v
 
     measurements: dict[str, Subspace] = {}
@@ -274,6 +278,10 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
             errors.append(f"{where}: undeclared operation symbol {a!r}")
         for n in sorted(used_names - set(vectors)):
             errors.append(f"{where}: undeclared vector name {n!r}")
+        for n in sx.walk(sentence):
+            if type(n) is sx.VecLit and len(n.coords) != dim:
+                errors.append(f"{where}: vector literal of dim {len(n.coords)} "
+                              f"in space of dim {dim}")
 
     axioms: list[sx.Sentence] = []
     for lineno, line in axiom_lines:

@@ -852,10 +852,6 @@ class Kind:
     is_closed: bool
     is_quantum_clause: bool
 
-    @property
-    def is_closed_quantum_clause(self) -> bool:
-        return self.is_closed and self.is_quantum_clause
-
 
 # every kind, built once: constructing a frozen dataclass costs a microsecond
 _KINDS = {flags: Kind(*flags) for flags in product((False, True), repeat=3)}

@@ -89,6 +89,23 @@ class TestCheck:
         assert code == 2
         assert "unknown" in output
 
+    def test_failing_goal_over_a_star_fact_exits_1(self, tmp_path):
+        # x's orbit from v0 closes after one round, so the star fact unrolls
+        # to it and the saturation is complete: check agrees with initial
+        text = ("SPACE 2\nVECTORS\n  v0 = (1, 0)\nUNITARY\n  x = X\n  h = H\n"
+                "PROPS\n  p\n  q\nAXIOMS\n  @(v0) [x*] p\n"
+                "GOAL AT x(v0) PROVE p\nGOAL AT v0 PROVE q\nGOAL AT h(v0) PROVE p\n")
+        path = tmp_path / "star_fact.hdql"
+        path.write_text(text)
+        code, output = run(["check", str(path)])
+        assert code == 1, output
+        assert output.splitlines() == [
+            "goal 1: proved (4 nodes)",
+            "goal 2: not provable: no rule applies to the remaining goals",
+            "goal 3: not provable: no rule applies to the remaining goals"]
+        code, output = run(["initial", str(path), "--depth", "3"])
+        assert code == 1, output
+
     def test_boolean_certificate_in_json_trace_exits_65(self, tmp_path):
         text = ("SPACE 2\nVECTORS\n  v0 = (1, 0)\n  v1 = (0, 1)\nUNITARY\n"
                 "  g = X\nPROPS\n  r closed\nAXIOMS\n  @(v0) r\n  @(v1) r\n"
@@ -373,6 +390,23 @@ class TestErrorPaths:
         code, output = run(["check", str(path)])
         assert code == 65, output
         assert output.startswith(f"line {line}: ") and "malformed number" in output
+
+    @pytest.mark.parametrize("section, command, line", [
+        ("MEASURE\n  m = { (1, 0, 0) }\n", ["check"], 7),
+        ("VALUATION\n  p = { (1, 0, 0) }\n", ["eval", "--at", "v0", "--sentence", "p"], 7),
+        ("GOAL AT vec(1, 0, 0) PROVE p\n", ["check"], 6),
+        ("GOAL AT vec(1, 0, 0) PROVE p\n", ["initial"], 6),
+        ("AXIOMS\n  @(vec(1, 0, 0)) p\n", ["check"], 7),
+        ("AXIOMS\n  @(vec(1, 0, 0)) p\n", ["initial"], 7),
+    ], ids=["measure", "valuation", "goal-check", "goal-initial", "axiom-check",
+            "axiom-initial"])
+    def test_wrong_dimension_state_exits_65_with_its_line(self, tmp_path, section,
+                                                          command, line):
+        path = tmp_path / "bad.hdql"
+        path.write_text("SPACE 2\nVECTORS\n  v0 = (1, 0)\nPROPS\n  p\n" + section)
+        code, output = run([command[0], str(path)] + command[1:])
+        assert code == 65, output
+        assert output.startswith(f"line {line}: ") and "dim 3 in space of dim 2" in output
 
 
 class TestArgumentParser:
