@@ -16,8 +16,11 @@ in the table read by ``_components``: the kernel checks them, the prover
 introduces them and the saturation eliminates them from there.
 
 The infinitary star introduction is replaced by a bounded instance that
-carries an orbit-closure certificate; the infinitary Cauchy rule is
-replaced by the finite-basis span rule. There is no cut rule.
+carries an orbit-closure certificate n: its premise i <= n proves [a^i] b at
+k (a ; ... ; a, i copies) or, when a is a ;-composition of operation symbols,
+b at the i-th iterate of k (one f(...) per symbol and copy), which a fixed
+chain of CompE and FTI nodes takes to the former. The infinitary Cauchy rule
+is replaced by the finite-basis span rule. There is no cut rule.
 
 One refinement to the documented rule order: a goal that is literally a
 member of the clause set is closed by a one-node Monotonicity proof before
@@ -49,6 +52,7 @@ __all__ = [
 
 
 class RuleId(Enum):
+    __hash__ = object.__hash__  # Enum hashes the name in Python; members are singletons
     MONOTONICITY = "Monotonicity"
     UNIONS = "Unions"
     TRANSLATION = "Translation"
@@ -181,15 +185,24 @@ def _components(k: sx.Term, s: sx.Sentence):
     return intro, elim, components(k, s)
 
 
-def _star_action(a: sx.Action, n: int) -> sx.Action:
+def _star_power(a: sx.Action, n: int, body: sx.Sentence) -> sx.Sentence:
+    """[a ; (a ; ...)] body with n copies of a, or body when n is 0."""
     action = a
     for _ in range(n - 1):
         action = AComp(a, action)
-    return action
+    return body if n == 0 else Nec(action, body)
 
 
-def _star_power(a: sx.Action, n: int, body: sx.Sentence) -> sx.Sentence:
-    return body if n == 0 else Nec(_star_action(a, n), body)
+def _iterate_symbols(sig: SignatureInstance, a: sx.Action) -> tuple[str, ...]:
+    """The symbols of a ;-composition of sig's operation symbols in the order
+    they apply, or () for any other action: the star bodies whose StarI
+    premises may sit at the iterates (see the module docstring)."""
+    nodes = list(sx.walk(a, sx.ACTION))
+    if all(type(n) is AComp or type(n) is ASym and (n.name in sig.unitaries
+                                                    or n.name in sig.measurements)
+           for n in nodes):
+        return tuple(n.name for n in nodes if type(n) is ASym)
+    return ()
 
 
 def check_proof(sig: SignatureInstance, tree: ProofTree,
@@ -363,10 +376,17 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if type(m) is not int or m < 0 or len(prem) != m + 1:
             return _bad(path, "StarI: certificate does not match the premise count")
         body_action = goal.action.body
+        symbols, term = _iterate_symbols(sig, body_action), k
         for i, p in enumerate(prem):
-            want = _star_power(body_action, i, goal.body)
-            if not same_context(p) or p.conclusion.k != k or p.conclusion.goal != want:
-                return _bad(path, f"StarI: premise {i} is not the {i}-fold unrolling")
+            c = p.conclusion
+            at_iterate = symbols and c.k == term and c.goal == goal.body
+            if not same_context(p) or not (
+                    at_iterate or c.k == k and c.goal == _star_power(body_action, i, goal.body)):
+                return _bad(path, f"StarI: premise {i} is neither the {i}-fold unrolling "
+                                  f"nor the body at iterate {i}")
+            term = c.k if at_iterate else term  # equal: the next comparison stays shallow
+            for f in symbols:
+                term = TApp(f, term)
         _, period, closed = orbit(QuantumModel(sig, {}), body_action, eval_term(sig, k), budget)
         if not closed:
             return _bad(path, "StarI: successor orbit does not close within budget")
@@ -739,12 +759,15 @@ class _Prover:
         if not closed:
             self.star_exhausted = True
             return None
-        premises = []
+        symbols, term, premises = _iterate_symbols(self.sig, a.body), k, []
         for n in range(period + 1):
-            sub = self.prove(gamma, k, _star_power(a.body, n, goal.body), allow_mp)
+            sub = (self.prove(gamma, term, goal.body, allow_mp) if symbols
+                   else self.prove(gamma, k, _star_power(a.body, n, goal.body), allow_mp))
             if sub is None:
                 return None
             premises.append(sub)
+            for f in symbols:
+                term = TApp(f, term)
         return ProofTree(Sequent(gamma, k, goal), RuleId.STAR_I_BOUNDED,
                          tuple(premises), certificate=period)
 
