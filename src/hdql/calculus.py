@@ -477,6 +477,7 @@ class _Saturation:
         self.class_of: dict[sx.Term, int] = {}
         self.facts: dict[tuple[sx.Sentence, int], ProofTree] = {}
         self.universal: dict[sx.Sentence, object] = {}  # sentence -> builder(k)
+        self.at_sites: dict[sx.Sentence, object] = {}  # universal ones instantiated per site
         self.imps: list[tuple[sx.Sentence, object]] = []  # (imp, builder | tree)
         self.queue: list[tuple] = []
         self.fired: set[tuple[int, int]] = set()
@@ -525,11 +526,12 @@ class _Saturation:
             return
         for sub in sx.walk(term, sx.TERM, self.walked.__contains__):
             cid = self.intern(sub)
-            self.walked.add(sub)
             if cid not in self.sites:
+                self.counter.spend()  # one node per site, whatever it instantiates
                 self.sites[cid] = None
-                for s, builder in list(self.universal.items()):
+                for s, builder in list(self.at_sites.items()):
                     self.queue.append(("inst", s, builder, self.class_terms[cid]))
+            self.walked.add(sub)
 
     # -- fact bookkeeping ---------------------------------------------------
     def _mono_builder(self, c: sx.Sentence):
@@ -547,8 +549,10 @@ class _Saturation:
             self.imps.append((s, builder))
             return
         self.queue.append(("univ", s, builder))
-        for cid in self.sites:
-            self.queue.append(("inst", s, builder, self.class_terms[cid]))
+        if _at_sites(s):
+            self.at_sites[s] = builder
+            for cid in self.sites:
+                self.queue.append(("inst", s, builder, self.class_terms[cid]))
 
     def add_fact(self, s: sx.Sentence, term: sx.Term, proof: ProofTree) -> None:
         cid = self.intern(term)

@@ -8,6 +8,7 @@ reference vector e when |v - e| <= tol * max(1, |e|) (default ``DEFAULT_TOL``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ def inner(v: np.ndarray, w: np.ndarray) -> complex:
 
 
 def norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))  # np.linalg.norm's sum
 
 
 def vec_eq(v: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -68,15 +69,25 @@ def vec_eq(v: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 class VectorTable:
-    """Vectors in insertion order (``rows``) in one (capacity, dim) array that
-    doubles when full, beside each row's squared bound (tol * max(1, |e|))^2:
-    a tolerance lookup is one vectorized distance computation."""
+    """Vectors in insertion order (``rows``, one (capacity, dim) array that
+    doubles when full), each with its squared bound (tol * max(1, |e|))^2,
+    bucketed by floor(p / w), p its projection onto a fixed real unit vector.
+
+    No match is missed: projection is 1-Lipschitz, so a row e that v matches
+    projects within tol * max(1, |e|) of v. The width w is (tol + margin) *
+    scale, scale >= every stored max(1, |e|) (a row past it doubles it and
+    re-buckets all), and the margin 8 (dim + 1) eps (1 + tol) covers rounding
+    in projections, quotients and bounds. So e is in v's cell or a neighbour,
+    whose rows a lookup checks exactly in index order: the first match wins."""
 
     def __init__(self, dim: int, tol: float = DEFAULT_TOL, vectors=()):
         self.dim, self.tol = dim, tol
         self._rows = np.empty((8, dim), dtype=complex)
-        self._bounds = np.empty(8)
         self.rows = self._rows[:0]
+        self._bounds, self._cells = [], {}  # [squared bound], {cell: [index]}
+        u = np.cos(np.arange(1.0, 2 * dim + 1))  # cos 1, cos 2, ...: no rational relation
+        self._dir = (u[0::2] - 1j * u[1::2]) / norm(u)  # Re(dir @ v) = <u, v>
+        self._width = self._unit = tol + 8 * (dim + 1) * np.finfo(float).eps * (1 + tol)
         for v in vectors:
             self.add(v)
 
@@ -84,21 +95,28 @@ class VectorTable:
         """Index of the first stored row that v matches, or -1."""
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"vector of shape {v.shape} in a table of dim {self.dim}")
-        d = (self.rows - v).view(float)
-        hits = np.flatnonzero(np.einsum("ij,ij->i", d, d) <= self._bounds[:len(d)])
-        return int(hits[0]) if hits.size else -1
+        c, cells = float((self._dir @ v).real) // self._width, self._cells
+        for i in sorted([*cells.get(c - 1, ()), *cells.get(c, ()), *cells.get(c + 1, ())]):
+            d = (self._rows[i] - v).view(float)
+            if d @ d <= self._bounds[i]:
+                return i
+        return -1
 
     def add(self, v: np.ndarray) -> int:
         """Append v as the last row and return its index."""
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"vector of shape {v.shape} in a table of dim {self.dim}")
-        n = len(self.rows)
-        if n == len(self._bounds):
+        n = first = len(self.rows)
+        if n == len(self._rows):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
-            self._bounds = np.concatenate([self._bounds, np.empty_like(self._bounds)])
         self._rows[n] = v
-        self._bounds[n] = (self.tol * max(1.0, norm(v))) ** 2
         self.rows = self._rows[:n + 1]
+        scale = max(1.0, norm(v))
+        self._bounds.append((self.tol * scale) ** 2)
+        if scale * self._unit > self._width:
+            self._width, self._cells, first = 2 * scale * self._unit, {}, 0
+        for i, p in enumerate((self.rows[first:] @ self._dir).real.tolist(), first):
+            self._cells.setdefault(p // self._width, []).append(i)
         return n
 
 

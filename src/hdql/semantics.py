@@ -37,6 +37,7 @@ __all__ = [
 class FiniteVectors:
     """A finite state set; membership is tolerance-based."""
     vectors: tuple[np.ndarray, ...] = ()
+    _tables: dict = field(default_factory=dict, init=False, repr=False)  # by (dim, tol)
 
 
 Region = FiniteVectors | Subspace
@@ -73,7 +74,9 @@ def _region(model: QuantumModel, p: str) -> Region:
 def region_member(region: Region, w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(region, Subspace):
         return hl.member(region, w, tol)
-    return hl.VectorTable(w.shape[0], tol, region.vectors).find(w) >= 0
+    if (key := (w.shape[0], tol)) not in region._tables:  # built on first lookup
+        region._tables[key] = hl.VectorTable(*key, region.vectors)
+    return region._tables[key].find(w) >= 0
 
 
 # ---------------------------------------------------------------- actions

@@ -204,6 +204,19 @@ class TestSubspaceLaws:
             assert abs(hl.inner(u @ v, u @ w) - hl.inner(v, w)) < 1e-9
 
 
+class TestNorm:
+    def test_bit_for_bit_np_linalg_norm(self):
+        # the memoized vectors and every tolerance bound keep their exact bits
+        rng = np.random.default_rng(61)
+        for dim in range(1, 65):
+            for _ in range(100):
+                v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+                v *= 10.0 ** rng.uniform(-5, 5) / np.linalg.norm(v)
+                for w in (v, v[::2], v.real.copy(), np.zeros(dim, dtype=complex)):
+                    assert hl.norm(w) == float(np.linalg.norm(w))
+                    assert type(hl.norm(w)) is float
+
+
 class TestVectorTable:
     def test_empty_table_finds_nothing(self):
         assert hl.VectorTable(2).find(K0) == -1
