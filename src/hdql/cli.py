@@ -18,7 +18,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import syntax as sx
 from .calculus import ProofSession, SearchBudget, check_proof, proof_nodes
@@ -172,12 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("specfile", help="problem file")
         p.add_argument("--tolerance", type=tolerance, default=DEFAULT_TOL)
         p.add_argument("--star-bound", type=count, default=64)
-        p.add_argument("--depth", type=count, default=6)
-        p.add_argument("--budget", type=count, default=10 ** 6)
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="prove the GOAL lines of the file")
     common(p_check)
+    p_check.add_argument("--budget", type=count, default=10 ** 6)
+    p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--goal", type=int, default=None,
                          help="1-based index of a single goal to check")
     p_check.add_argument("--trace", default=None,
@@ -191,6 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_init = sub.add_parser("initial",
                             help="build the initial model of the axioms")
     common(p_init)
+    p_init.add_argument("--depth", type=count, default=6)
+    p_init.add_argument("--budget", type=count, default=10 ** 6)
 
     p_re = sub.add_parser("recheck",
                           help="re-run the kernel on a serialized trace")
@@ -248,8 +249,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def _run(args: argparse.Namespace, out) -> int:
-    flags = RunFlags(tolerance=args.tolerance, star_bound=args.star_bound,
-                     depth=args.depth, budget=args.budget, format=args.format)
+    flags = RunFlags(**{f.name: getattr(args, f.name) for f in fields(RunFlags)
+                        if hasattr(args, f.name)})
 
     spec = _load(args.specfile, flags, out)
     if isinstance(spec, int):

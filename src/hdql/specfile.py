@@ -358,14 +358,16 @@ def valuation_model(spec: LoadedSpec) -> QuantumModel:
 
 def _records(tree: ProofTree):
     """Pre-order records of a proof tree; an explicit stack, so any depth.
-    A node object met again (a shared subproof) is formatted once."""
+    A node object met again (a shared subproof) is formatted once, and so is
+    an AST node object met again: the tree keeps both alive for the memo."""
     rows: dict[ProofTree, tuple] = {}
+    memo = {}
     for node, depth in walk_proof(tree, 0, lambda node, depth: depth + 1):
         row = rows.get(node)
         if row is None:
             cert = node.certificate
-            row = rows[node] = (node.rule.value, sx.format_term(node.conclusion.k),
-                                sx.format_sentence(node.conclusion.goal),
+            row = rows[node] = (node.rule.value, sx.format_term(node.conclusion.k, memo),
+                                sx.format_sentence(node.conclusion.goal, memo),
                                 cert if isinstance(cert, int) else None)
         yield depth, row
 

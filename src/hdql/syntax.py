@@ -293,7 +293,7 @@ def walk(node, sorts: int = ALL, prune=None):
             stack.append(getattr(n, name))
 
 
-def fold(node, table, sorts: int = ALL, before=None):
+def fold(node, table, sorts: int = ALL, before=None, memo=None):
     """Fold the node bottom-up through its children of the given sorts.
 
     ``table[cls](n, kids)`` is the value of a node ``n`` of class ``cls``, given
@@ -301,6 +301,12 @@ def fold(node, table, sorts: int = ALL, before=None):
     keeps ``n`` when every child's value is that child, and is rebuilt from
     the values otherwise. ``before[cls](n)`` runs ahead of the children: it
     returns the value of ``n`` early, or None to fold ``n`` as usual.
+
+    ``memo``, a dict from ``id(n)`` to the value of ``n``, is read before a
+    node's children and filled after them, so a node object met again, in
+    this fold or a later one given the same memo, is folded once. Its keys
+    are identities: the caller keeps every node it folds alive while the
+    memo is in use, or a new node could inherit a dead node's value.
     """
     todo, vals = [node], []
     while todo:
@@ -312,11 +318,17 @@ def fold(node, table, sorts: int = ALL, before=None):
             kids = vals[-len(names):]
             del vals[-len(names):]
             if entry is not None:
-                vals.append(entry(n, kids))
+                value = entry(n, kids)
             elif all(kid is getattr(n, name) for kid, name in zip(kids, names)):
-                vals.append(n)
+                value = n
             else:
-                vals.append(_rebuild(n, names, kids))
+                value = _rebuild(n, names, kids)
+            if memo is not None:
+                memo[id(n)] = value
+            vals.append(value)
+            continue
+        if memo is not None and id(n) in memo:
+            vals.append(memo[id(n)])
             continue
         if before is not None and type(n) in before:
             value = before[type(n)](n)
@@ -677,6 +689,12 @@ def parse_complex(text: str) -> complex:
 
 
 # -------------------------------------------------------------- printing
+#
+# One fold table prints every sort: a node's value is its text and how tightly
+# that text binds, and a child is parenthesized when it binds looser than its
+# place asks. A text memo (see ``fold``) is keyed by node identity, so no node
+# is hashed, and it holds only while the caller keeps the printed nodes alive:
+# the trace writer makes one per trace, whose proof tree keeps them alive.
 
 def format_complex(c: complex) -> str:
     re, im = c.real, c.imag
@@ -691,80 +709,48 @@ def format_complex(c: complex) -> str:
     return f"{re_s}+{im_s}" if im > 0 else f"{re_s}-{im_s}"
 
 
-def format_term(t: Term, level: int = 0) -> str:
-    if isinstance(t, Origin):
-        return "0"
-    if isinstance(t, (Name, Var)):
-        return t.name
-    if isinstance(t, VecLit):
-        return "vec(" + ", ".join(format_complex(c) for c in t.coords) + ")"
-    if isinstance(t, TApp):
-        return f"{t.sym}({format_term(t.arg)})"
-    if isinstance(t, TSum):
-        s = f"{format_term(t.left, 0)} + {format_term(t.right, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(t, TSmul):
-        s = f"{format_complex(t.scalar)}*{format_term(t.arg, 1)}"
-        return f"({s})" if level > 1 else s
-    raise TypeError(f"not a term: {t!r}")
+def _at(kid: tuple[str, int], place: int) -> str:
+    """A child's text, parenthesized if it binds looser than its place asks."""
+    text, binding = kid
+    return text if binding >= place else f"({text})"
 
 
-def format_action(a: Action, level: int = 0) -> str:
-    if isinstance(a, ASym):
-        return a.name
-    if isinstance(a, AStar):
-        return format_action(a.body, 2) + "*"
-    if isinstance(a, AComp):
-        s = f"{format_action(a.left, 2)} ; {format_action(a.right, 1)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(a, AUnion):
-        s = f"{format_action(a.left, 0)} | {format_action(a.right, 1)}"
-        return f"({s})" if level > 0 else s
-    raise TypeError(f"not an action: {a!r}")
+# a node prints as (text, binding): a sum, a union or a store binds 0, and
+# what never needs parentheses binds 5; a child of another sort sits at 0
+_PRINT = dict.fromkeys((Name, Var, ASym, Prop), lambda n, k: (n.name, 5)) | {
+    Origin: lambda n, k: ("0", 5),
+    VecLit: lambda n, k: ("vec(" + ", ".join(map(format_complex, n.coords)) + ")", 5),
+    TApp: lambda n, k: (f"{n.sym}({k[0][0]})", 5),
+    TSum: lambda n, k: (f"{k[0][0]} + {_at(k[1], 1)}", 0),
+    TSmul: lambda n, k: (f"{format_complex(n.scalar)}*{_at(k[0], 1)}", 1),
+    AUnion: lambda n, k: (f"{k[0][0]} | {_at(k[1], 1)}", 0),
+    AComp: lambda n, k: (f"{_at(k[0], 2)} ; {_at(k[1], 1)}", 1),
+    AStar: lambda n, k: (_at(k[0], 2) + "*", 2),
+    Here: lambda n, k: (f"here({k[0][0]})", 5),
+    UntilS: lambda n, k: (f"until({k[0][0]}, {k[1][0]}, {k[2][0]})", 5),
+    Store: lambda n, k: (f"store {n.var} . {k[0][0]}", 0),
+    Imp: lambda n, k: (f"{_at(k[0], 2)} => {_at(k[1], 1)}", 1),
+    QImp: lambda n, k: (f"{_at(k[0], 2)} ~> {_at(k[1], 1)}", 1),
+    OPlus: lambda n, k: (f"{_at(k[0], 2)} (+) {_at(k[1], 3)}", 2),
+    And: lambda n, k: (f"{_at(k[0], 3)} /\\ {_at(k[1], 4)}", 3),
+    Not: lambda n, k: ("!" + _at(k[0], 4), 4),
+    QNot: lambda n, k: ("~" + _at(k[0], 4), 4),
+    Nec: lambda n, k: (f"[{k[0][0]}] {_at(k[1], 4)}", 4),
+    Pos: lambda n, k: (f"<{k[0][0]}> {_at(k[1], 4)}", 4),
+    At: lambda n, k: (f"@({k[0][0]}) {_at(k[1], 4)}", 4),
+}
 
 
-_L_STORE, _L_IMP, _L_OPLUS, _L_AND, _L_PREFIX = 0, 1, 2, 3, 4
+def format_term(node, memo: dict | None = None) -> str:
+    """The text of a term, action or sentence.
+
+    ``memo`` is a fold memo (see ``fold``): a caller that prints many ASTs
+    sharing node objects passes one, and each node object is printed once.
+    """
+    return fold(node, _PRINT, ALL, None, memo)[0]
 
 
-def format_sentence(s: Sentence, level: int = 0) -> str:
-    def wrap(text: str, own: int) -> str:
-        return f"({text})" if own < level else text
-
-    if isinstance(s, Prop):
-        return s.name
-    if isinstance(s, Here):
-        return f"here({format_term(s.term)})"
-    if isinstance(s, UntilS):
-        return (f"until({format_action(s.action)}, {format_sentence(s.first)}, "
-                f"{format_sentence(s.second)})")
-    if isinstance(s, Store):
-        return wrap(f"store {s.var} . {format_sentence(s.body, _L_STORE)}", _L_STORE)
-    if isinstance(s, Imp):
-        text = f"{format_sentence(s.left, _L_IMP + 1)} => {format_sentence(s.right, _L_IMP)}"
-        return wrap(text, _L_IMP)
-    if isinstance(s, QImp):
-        text = f"{format_sentence(s.left, _L_IMP + 1)} ~> {format_sentence(s.right, _L_IMP)}"
-        return wrap(text, _L_IMP)
-    if isinstance(s, OPlus):
-        text = f"{format_sentence(s.left, _L_OPLUS)} (+) {format_sentence(s.right, _L_OPLUS + 1)}"
-        return wrap(text, _L_OPLUS)
-    if isinstance(s, And):
-        text = f"{format_sentence(s.left, _L_AND)} /\\ {format_sentence(s.right, _L_AND + 1)}"
-        return wrap(text, _L_AND)
-    if isinstance(s, Not):
-        return wrap(f"!{format_sentence(s.body, _L_PREFIX)}", _L_PREFIX)
-    if isinstance(s, QNot):
-        return wrap(f"~{format_sentence(s.body, _L_PREFIX)}", _L_PREFIX)
-    if isinstance(s, Nec):
-        return wrap(f"[{format_action(s.action)}] {format_sentence(s.body, _L_PREFIX)}",
-                    _L_PREFIX)
-    if isinstance(s, Pos):
-        return wrap(f"<{format_action(s.action)}> {format_sentence(s.body, _L_PREFIX)}",
-                    _L_PREFIX)
-    if isinstance(s, At):
-        return wrap(f"@({format_term(s.term)}) {format_sentence(s.body, _L_PREFIX)}",
-                    _L_PREFIX)
-    raise TypeError(f"not a sentence: {s!r}")
+format_action = format_sentence = format_term  # one printer for every sort
 
 
 # --------------------------------------------------- variables and scope

@@ -11,9 +11,9 @@ from __future__ import annotations
 from hdql import syntax as sx
 from hdql.semantics import SemanticsError
 from hdql.signature import classify_in
-from hdql.syntax import (And, ASym, AStar, At, Here, Imp, Kind, Name, Nec, Not, OPlus,
-                         Pos, Prop, QImp, QNot, Store, TApp, TSmul, TSum, UntilS, Var,
-                         _fresh)
+from hdql.syntax import (AComp, And, ASym, AStar, AUnion, At, Here, Imp, Kind, Name, Nec,
+                         Not, OPlus, Origin, Pos, Prop, QImp, QNot, Store, TApp, TSmul, TSum,
+                         UntilS, Var, VecLit, _fresh, format_complex)
 from hdql.calculus import ProofTree, Sequent, RuleId
 
 _NOTHING = Kind(False, False, False)
@@ -267,6 +267,84 @@ def sentence_symbols(s: Sentence) -> tuple[set[str], set[str], set[str]]:
 
     go(s)
     return props, acts, names
+
+
+# ---------------------------------------------------------------- printing
+
+def format_term(t: Term, level: int = 0) -> str:
+    if isinstance(t, Origin):
+        return "0"
+    if isinstance(t, (Name, Var)):
+        return t.name
+    if isinstance(t, VecLit):
+        return "vec(" + ", ".join(format_complex(c) for c in t.coords) + ")"
+    if isinstance(t, TApp):
+        return f"{t.sym}({format_term(t.arg)})"
+    if isinstance(t, TSum):
+        s = f"{format_term(t.left, 0)} + {format_term(t.right, 1)}"
+        return f"({s})" if level > 0 else s
+    if isinstance(t, TSmul):
+        s = f"{format_complex(t.scalar)}*{format_term(t.arg, 1)}"
+        return f"({s})" if level > 1 else s
+    raise TypeError(f"not a term: {t!r}")
+
+
+def format_action(a: Action, level: int = 0) -> str:
+    if isinstance(a, ASym):
+        return a.name
+    if isinstance(a, AStar):
+        return format_action(a.body, 2) + "*"
+    if isinstance(a, AComp):
+        s = f"{format_action(a.left, 2)} ; {format_action(a.right, 1)}"
+        return f"({s})" if level > 1 else s
+    if isinstance(a, AUnion):
+        s = f"{format_action(a.left, 0)} | {format_action(a.right, 1)}"
+        return f"({s})" if level > 0 else s
+    raise TypeError(f"not an action: {a!r}")
+
+
+_L_STORE, _L_IMP, _L_OPLUS, _L_AND, _L_PREFIX = 0, 1, 2, 3, 4
+
+
+def format_sentence(s: Sentence, level: int = 0) -> str:
+    def wrap(text: str, own: int) -> str:
+        return f"({text})" if own < level else text
+
+    if isinstance(s, Prop):
+        return s.name
+    if isinstance(s, Here):
+        return f"here({format_term(s.term)})"
+    if isinstance(s, UntilS):
+        return (f"until({format_action(s.action)}, {format_sentence(s.first)}, "
+                f"{format_sentence(s.second)})")
+    if isinstance(s, Store):
+        return wrap(f"store {s.var} . {format_sentence(s.body, _L_STORE)}", _L_STORE)
+    if isinstance(s, Imp):
+        text = f"{format_sentence(s.left, _L_IMP + 1)} => {format_sentence(s.right, _L_IMP)}"
+        return wrap(text, _L_IMP)
+    if isinstance(s, QImp):
+        text = f"{format_sentence(s.left, _L_IMP + 1)} ~> {format_sentence(s.right, _L_IMP)}"
+        return wrap(text, _L_IMP)
+    if isinstance(s, OPlus):
+        text = f"{format_sentence(s.left, _L_OPLUS)} (+) {format_sentence(s.right, _L_OPLUS + 1)}"
+        return wrap(text, _L_OPLUS)
+    if isinstance(s, And):
+        text = f"{format_sentence(s.left, _L_AND)} /\\ {format_sentence(s.right, _L_AND + 1)}"
+        return wrap(text, _L_AND)
+    if isinstance(s, Not):
+        return wrap(f"!{format_sentence(s.body, _L_PREFIX)}", _L_PREFIX)
+    if isinstance(s, QNot):
+        return wrap(f"~{format_sentence(s.body, _L_PREFIX)}", _L_PREFIX)
+    if isinstance(s, Nec):
+        return wrap(f"[{format_action(s.action)}] {format_sentence(s.body, _L_PREFIX)}",
+                    _L_PREFIX)
+    if isinstance(s, Pos):
+        return wrap(f"<{format_action(s.action)}> {format_sentence(s.body, _L_PREFIX)}",
+                    _L_PREFIX)
+    if isinstance(s, At):
+        return wrap(f"@({format_term(s.term)}) {format_sentence(s.body, _L_PREFIX)}",
+                    _L_PREFIX)
+    raise TypeError(f"not a sentence: {s!r}")
 
 
 # --------------------------------------------------------------- signature

@@ -331,6 +331,24 @@ class TestFlagRanges:
         assert output == ""
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("check", "--depth", "3"),
+        ("eval", "--depth", "3"), ("eval", "--budget", "10"), ("eval", "--format", "json"),
+        ("initial", "--format", "json"),
+        ("recheck", "--depth", "3"), ("recheck", "--budget", "10"),
+        ("recheck", "--format", "json")])
+    def test_an_option_the_subcommand_does_not_read_exits_64(self, tmp_path, capsys,
+                                                            command, flag, value):
+        path = tmp_path / "small.hdql"
+        path.write_text(SMALL)
+        trace = tmp_path / "proof.trace"
+        assert run(["check", str(path), "--goal", "1", "--trace", str(trace)])[0] == 0
+        rest = {"eval": ["--at", "v0", "--sentence", "p"], "recheck": [str(trace)]}
+        code, output = run([command, str(path), *rest.get(command, []), flag, value])
+        assert code == 64
+        assert output == ""
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_boundary_values_are_accepted(self, tmp_path):
         path = tmp_path / "small.hdql"
         path.write_text(SMALL)

@@ -3,9 +3,11 @@
 Each traversal is checked against its hand-written recursive predecessor,
 kept in reference_traversals.py, on a seeded corpus that covers all 24 node
 classes; and each runs on inputs 5,000 deep, far past Python's recursion
-limit. Results on deep inputs are checked with walk, because ==, hash and
-the printers still recurse.
+limit. Results on deep inputs are checked with walk, because == and hash
+still recurse.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ import reference_traversals as ref
 from hdql import hilbert as hl
 from hdql import semantics as sm
 from hdql import syntax as sx
+from hdql.calculus import ProofSession, proof_nodes
 from hdql.errors import MorphismError, SemanticsError
 from hdql.signature import Morphism, SignatureInstance, apply_morphism, classify_in
+from hdql.specfile import load_spec
 from hdql.syntax import (ACTION, ALL, SENTENCE, TERM, AComp, And, ASym, AStar, AUnion,
                          At, Here, Imp, Kind, Name, Nec, Not, OPlus, Origin, Pos, Prop,
                          QImp, QNot, Store, TApp, TSmul, TSum, UntilS, Var, VecLit)
@@ -228,6 +232,43 @@ class TestAgainstReferences:
         assert outcomes == {True, False}
 
 
+    def test_printers_on_every_node(self):
+        memo = {}  # one memo over the whole corpus, which keeps its nodes alive
+        for x in TERMS + ACTIONS + SENTENCES:
+            for n in sx.walk(x):
+                want = _reference_text(n)
+                assert sx.format_term(n) == want
+                assert sx.format_term(n, memo) == want
+        assert sx.format_action is sx.format_sentence is sx.format_term
+
+    def test_printers_on_every_node_of_the_demo_proofs(self):
+        rows = 0
+        for name, goals in (("teleport", None), ("rotation", None), ("star_clause", (0, 1))):
+            spec = load_spec(os.path.join(DEMOS, f"{name}.hdql"))
+            session = ProofSession(spec.sig, spec.axioms)
+            for term, sentence in [spec.goals[i] for i in goals or range(len(spec.goals))]:
+                result = session.prove(term, sentence)
+                assert result.status == "holds"
+                memo = {}  # as the trace writer uses it, one per proof
+                for node in proof_nodes(result.tree):
+                    rows += 1
+                    for x in (node.conclusion.k, node.conclusion.goal):
+                        for n in sx.walk(x):
+                            assert sx.format_term(n, memo) == _reference_text(n)
+        assert rows > 100
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
+
+
+def _reference_text(n) -> str:
+    if isinstance(n, sx.Term):
+        return ref.format_term(n)
+    if isinstance(n, sx.Action):
+        return ref.format_action(n)
+    return ref.format_sentence(n)
+
+
 _RENAMING = ({"u0": "U0", "u1": "U1"}, {"m0": "M0"}, {"w0": "W0", "w1": "W1"},
              {p: p.upper() for p in PROPS})
 
@@ -364,3 +405,12 @@ class TestDepth:
         assert types[QNot] == 3 * DEPTH
         assert sx.classify(s, CLOSED, MEASUREMENTS) == Kind(False, False, False)
         assert sx.classify(got, CLOSED, MEASUREMENTS) == Kind(False, False, False)
+
+    def test_printing_chains_10000_deep(self):
+        n = 10_000
+        t, a, s = Name("w0"), ASym("g"), Prop("p")
+        for _ in range(n):
+            t, a, s = TApp("u0", t), AComp(ASym("g"), a), Nec(ASym("g"), s)
+        assert sx.format_term(t) == "u0(" * n + "w0" + ")" * n
+        assert sx.format_action(a) == " ; ".join(["g"] * (n + 1))
+        assert sx.format_sentence(s) == "[g] " * n + "p"
