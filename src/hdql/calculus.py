@@ -13,7 +13,9 @@ propositions close under origin, scalar multiples, sums and finite-basis spans.
 The introduction and elimination rules of the compound sentences (retrieve,
 store, conjunction, and [f], [a;b] and [a|b] necessities) are defined once,
 in the table read by ``_components``: the kernel checks them, the prover
-introduces them and the saturation eliminates them from there.
+introduces them and the saturation eliminates them from there. The kernel
+also reads every rule's fixed premise count, the rules whose goal must be a
+closed proposition, and the shapes of Mult and Add from tables.
 
 The infinitary star introduction is replaced by a bounded instance that
 carries an orbit-closure certificate n: its premise i <= n proves [a^i] b at
@@ -173,6 +175,19 @@ _COMPOUND = {
 # rule -> (whether it is the introduction, what its compound sentence is)
 _TABLE_RULES = {rule: (i == 0, what) for what, *rules, _ in _COMPOUND.values()
                 for i, rule in enumerate(rules)}
+# rule -> its premise count, for every rule whose count is fixed
+_ARITY = {RuleId.MONOTONICITY: 0, RuleId.ORIGIN: 0, RuleId.UNIONS: 1, RuleId.TRANSLATION: 1,
+          RuleId.MULT: 1, RuleId.EQ: 1, RuleId.STAR_E: 1, RuleId.IMP: 1, RuleId.IMP_C: 1,
+          RuleId.ADD: 2, RuleId.MP: 2, RuleId.MP_C: 2,
+          **{rule: 1 for rule, (intro, _) in _TABLE_RULES.items() if not intro}}
+# the rules that prove closed propositions only
+_CLOSED_GOAL = frozenset({RuleId.ORIGIN, RuleId.MULT, RuleId.ADD, RuleId.SPAN_CLOSURE})
+# Mult and Add: rule -> (the conclusion term's class, what that class is, why
+# premises that do not prove the goal at its parts are rejected, the parts)
+_LINEAR = {RuleId.MULT: (TSmul, "a scalar multiple", "premise does not match the multiplicand",
+                         lambda k: (k.arg,)),
+           RuleId.ADD: (TSum, "a sum", "premises do not match the summands",
+                        lambda k: (k.left, k.right))}
 
 
 def _components(k: sx.Term, s: sx.Sentence):
@@ -245,36 +260,31 @@ def _bad(place, reason) -> CheckResult:
     return CheckResult(False, tuple(reversed(path)), reason)
 
 
-def _closed_prop(sig, goal) -> bool:
-    return isinstance(goal, Prop) and goal.name in sig.closed_props
-
-
 def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 path: tuple) -> CheckResult | None:
     """Why the node at path (a place, see _bad) breaks its rule schema, or
-    None if it does not."""
+    None if it does not. Premise counts, closed goals and Mult/Add come from
+    the tables _ARITY, _CLOSED_GOAL and _LINEAR, checked before the branches."""
     gamma, k, goal = t.conclusion.gamma, t.conclusion.k, t.conclusion.goal
     rule = t.rule
     prem = t.premises
 
-    def arity(n: int) -> None:
-        if len(prem) != n:
-            raise ProofError(f"expects {n} premises, got {len(prem)}")
-
     def same_context(p: ProofTree) -> bool:
         return p.conclusion.gamma == gamma
 
+    n = _ARITY.get(rule)
+    if n is not None and len(prem) != n:
+        return _bad(path, f"{rule.value}: expects {n} premises, got {len(prem)}")
+    if rule in _CLOSED_GOAL and not (isinstance(goal, Prop) and goal.name in sig.closed_props):
+        return _bad(path, f"{rule.value}: goal must be a closed proposition")
     if rule is RuleId.MONOTONICITY:
-        arity(0)
         if goal not in gamma:
             return _bad(path, "Monotonicity: goal is not a member of the clause set")
     elif rule is RuleId.UNIONS:
-        arity(1)
         p = prem[0].conclusion
         if p.goal != goal or p.k != k or not set(p.gamma) <= set(gamma):
             return _bad(path, "Unions: premise is not over a subset of the clause set")
     elif rule is RuleId.TRANSLATION:
-        arity(1)
         chi = t.certificate
         if not isinstance(chi, Morphism):
             return _bad(path, "Translation: certificate must be a morphism")
@@ -286,34 +296,16 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if renamed != t.conclusion:
             return _bad(path, "Translation: conclusion is not the renamed premise")
     elif rule is RuleId.ORIGIN:
-        arity(0)
-        if not _closed_prop(sig, goal):
-            return _bad(path, "Origin: goal must be a closed proposition")
         if not diagram_eq(sig, k, Origin()):
             return _bad(path, "Origin: term does not denote the origin vector")
-    elif rule is RuleId.MULT:
-        arity(1)
-        if not _closed_prop(sig, goal):
-            return _bad(path, "Mult: goal must be a closed proposition")
-        if not isinstance(k, TSmul):
-            return _bad(path, "Mult: conclusion term is not a scalar multiple")
-        p = prem[0].conclusion
-        if not same_context(prem[0]) or p.goal != goal or p.k != k.arg:
-            return _bad(path, "Mult: premise does not match the multiplicand")
-    elif rule is RuleId.ADD:
-        arity(2)
-        if not _closed_prop(sig, goal):
-            return _bad(path, "Add: goal must be a closed proposition")
-        if not isinstance(k, TSum):
-            return _bad(path, "Add: conclusion term is not a sum")
-        p1, p2 = prem[0].conclusion, prem[1].conclusion
-        if not (same_context(prem[0]) and same_context(prem[1])
-                and p1.goal == goal and p2.goal == goal
-                and p1.k == k.left and p2.k == k.right):
-            return _bad(path, "Add: premises do not match the summands")
+    elif rule in _LINEAR:
+        cls, what, mismatch, parts = _LINEAR[rule]
+        if not isinstance(k, cls):
+            return _bad(path, f"{rule.value}: conclusion term is not {what}")
+        if not (all(same_context(p) and p.conclusion.goal == goal for p in prem)
+                and tuple(p.conclusion.k for p in prem) == parts(k)):
+            return _bad(path, f"{rule.value}: {mismatch}")
     elif rule is RuleId.SPAN_CLOSURE:
-        if not _closed_prop(sig, goal):
-            return _bad(path, "SpanClosure: goal must be a closed proposition")
         key = (sig, tuple(p.conclusion.k for p in prem))  # path[2] maps it to its span
         span, vecs = path[2].get(key), []
         for i, p in enumerate(prem):
@@ -331,7 +323,6 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if not hl.member(span, eval_term(sig, k), sig.tol):
             return _bad(path, "SpanClosure: conclusion vector lies outside the span")
     elif rule is RuleId.EQ:
-        arity(1)
         p = prem[0].conclusion
         if not same_context(prem[0]) or p.goal != goal:
             return _bad(path, "EQ: premise proves a different sentence")
@@ -341,8 +332,6 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                         f"(residual {diagram_residual(sig, p.k, k):.3e})")
     elif rule in _TABLE_RULES:
         intro, what = _TABLE_RULES[rule]
-        if not intro:
-            arity(1)
         whole = t.conclusion if intro else prem[0].conclusion  # the compound side
         entry = _components(whole.k, whole.goal)
         if entry is None or entry[0 if intro else 1] is not rule:
@@ -358,7 +347,6 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         elif not same_context(prem[0]) or (k, goal) not in entry[2]:
             return _bad(path, f"{rule.value}: conclusion is not a component of the premise")
     elif rule is RuleId.STAR_E:
-        arity(1)
         p = prem[0].conclusion
         if not (isinstance(p.goal, Nec) and isinstance(p.goal.action, AStar)):
             return _bad(path, "StarE: premise is not a star necessity")
@@ -400,7 +388,6 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         quantum = rule in (RuleId.MP_C, RuleId.IMP_C)
         imp, q, closed = (QImp, "quantum ", "closed ") if quantum else (Imp, "", "")
         elim = rule in (RuleId.MP, RuleId.MP_C)
-        arity(2 if elim else 1)
         p = prem[0].conclusion
         if elim:
             p2 = prem[1].conclusion
@@ -415,7 +402,7 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         kind = classify_in(sig, (p.goal if elim else goal).left)
         if not (kind.is_basic and (kind.is_closed or not quantum)):
             return _bad(path, f"{rule.value}: antecedent is not a {closed}basic sentence")
-        if not elim and (p.gamma != gamma + (At(k, goal.left),) or p.k != k
+        if not elim and (p.gamma != gamma + premise_hypotheses(rule, t.conclusion) or p.k != k
                          or p.goal != goal.right):
             return _bad(path, f"{rule.value}: premise context is not the extended "
                               "clause set")

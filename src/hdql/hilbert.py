@@ -169,7 +169,7 @@ def orthonormalize(vs, dim: int | None = None, tol: float = DEFAULT_TOL) -> Subs
         for _ in range(2):
             for b in rows:
                 u = u - np.vdot(b, u) * b
-        r = np.linalg.norm(u)
+        r = norm(u)
         if r > tol * max(1.0, norm(v)):
             rows.append(u / r)
     if not rows:
@@ -288,7 +288,7 @@ def identity(dim: int) -> np.ndarray:
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return v / norm(v)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -249,20 +249,15 @@ def _sat(model: QuantumModel, w: np.ndarray, s: sx.Sentence,
         return not _sat(model, w, s.body, budget)
     if isinstance(s, sx.Imp):
         return (not _sat(model, w, s.left, budget)) or _sat(model, w, s.right, budget)
-    # sat_at has already rejected ~ and ~> over non-closed sentences
-    if isinstance(s, sx.QNot):
-        ext = _ext(model, s.body, budget)
-        return hl.member(hl.orthocomplement(ext), w, sig.tol)
-    if isinstance(s, sx.QImp):
+    # the exact subspace route: ~ and ~> (sat_at has already rejected them
+    # over non-closed sentences) and a star necessity in the closed fragment
+    star = isinstance(s, sx.Nec) and sx.AStar in map(type, sx.walk(s.action, sx.ACTION))
+    if isinstance(s, (sx.QNot, sx.QImp)) or star and classify_in(sig, s).is_closed:
         return hl.member(_ext(model, s, budget), w, sig.tol)
     if isinstance(s, sx.Store):
         lit = sx.VecLit(tuple(complex(c) for c in w))
         return _sat(model, w, sx.substitute(s.body, s.var, lit), budget)
-    if isinstance(s, sx.Nec):
-        # exact subspace route for star over unitary actions in the closed
-        # fragment; orbit enumeration otherwise
-        if sx.AStar in map(type, sx.walk(s.action, sx.ACTION)) and classify_in(sig, s).is_closed:
-            return hl.member(_ext(model, s, budget), w, sig.tol)
+    if isinstance(s, sx.Nec):  # orbit enumeration
         succ = successors(model, s.action, w, budget)
         for v in succ.vectors:
             if not _sat(model, v, s.body, budget):

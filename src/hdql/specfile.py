@@ -73,7 +73,6 @@ class LoadedSpec:
     axioms: list[sx.Sentence]
     goals: list[tuple[sx.Term, sx.Sentence]]
     valuation: dict[str, Region] | None = None
-    source: str = ""
 
 
 def _strip(line: str) -> str:
@@ -335,8 +334,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
 
     if errors:
         raise SpecLoadError(errors)
-    return LoadedSpec(sig=sig, axioms=axioms, goals=goals,
-                      valuation=valuation, source=text)
+    return LoadedSpec(sig=sig, axioms=axioms, goals=goals, valuation=valuation)
 
 
 def load_spec(path: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:

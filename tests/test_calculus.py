@@ -9,8 +9,8 @@ from hdql import hilbert as hl
 from hdql import semantics as sm
 from hdql import signature as sg
 from hdql import syntax as sx
-from hdql.calculus import (ProofSession, ProofTree, RuleId, SearchBudget, Sequent,
-                           check_proof, proof_nodes, prove,
+from hdql.calculus import (CheckResult, ProofSession, ProofTree, RuleId, SearchBudget,
+                           Sequent, check_proof, proof_nodes, prove,
                            restrict_premises, used_premises)
 from hdql.errors import ProofError
 from hdql.semantics import FiniteVectors, QuantumModel, StarBudget
@@ -771,6 +771,59 @@ class TestRuleTable:
         res = check_proof(qubit_sig(), _node(rule, conclusion, [premise], gamma))
         assert not res.ok and res.path == ()
         assert res.reason == f"{rule.value}: unknown operation symbol 'y'"
+
+
+MULTIPLICAND = "premise does not match the multiplicand"
+SUMMANDS = "premises do not match the summands"
+
+
+class TestSharedConditions:
+    def test_same_verdicts_and_reasons_as_the_per_branch_kernel(self):
+        import reference_kernel as ref
+        rng = np.random.default_rng(2026)
+        rejected, count = set(), 0
+        for sig, tree in _mutant_sources():
+            for mutant, _ in _mutants(tree, rng, 70):
+                new = check_proof(sig, mutant)
+                with pytest.MonkeyPatch.context() as m:  # the same walk, a count per branch
+                    m.setattr(calculus, "_check_node", ref._check_node_by_branch)
+                    old = check_proof(sig, mutant)
+                assert new == old  # ok, path and reason
+                count += 1
+                if not new.ok:
+                    rejected.add(dict((p, n) for n, p in _with_paths(mutant))[new.path].rule)
+        assert count >= 3000
+        assert rejected == set(RuleId)
+
+    # the mutant corpus seldom reaches a Mult or Add node's own branch
+    @pytest.mark.parametrize("rule, conclusion, premises, other_context, reason", [
+        (RuleId.MULT, ("2*v0", "r"), [("v0", "r")], False, None),
+        (RuleId.MULT, ("v0", "r"), [("v0", "r")], False, "conclusion term is not a scalar multiple"),
+        (RuleId.MULT, ("2*v0", "r"), [("v1", "r")], False, MULTIPLICAND),
+        (RuleId.MULT, ("2*v0", "r"), [("v0", "r2")], False, MULTIPLICAND),
+        (RuleId.MULT, ("2*v0", "r"), [("v0", "r")], True, MULTIPLICAND),
+        (RuleId.MULT, ("2*v0", "p"), [("v0", "r")], False, "goal must be a closed proposition"),
+        (RuleId.MULT, ("2*v0", "r"), [("v0", "r")] * 2, False, "expects 1 premises, got 2"),
+        (RuleId.ADD, ("v0 + v1", "r"), [("v0", "r"), ("v1", "r")], False, None),
+        (RuleId.ADD, ("2*v0", "r"), [("v0", "r"), ("v1", "r")], False, "conclusion term is not a sum"),
+        (RuleId.ADD, ("v0 + v1", "r"), [("v1", "r"), ("v0", "r")], False, SUMMANDS),
+        (RuleId.ADD, ("v0 + v1", "r"), [("v0", "r"), ("v1", "r2")], False, SUMMANDS),
+        (RuleId.ADD, ("v0 + v1", "r"), [("v0", "r"), ("v1", "r")], True, SUMMANDS),
+        (RuleId.ADD, ("v0 + v1", "q"), [("v0", "r"), ("v1", "r")], False,
+         "goal must be a closed proposition"),
+        (RuleId.ADD, ("v0 + v1", "r"), [("v0", "r")], False, "expects 2 premises, got 1")])
+    def test_mult_and_add_reasons_match_the_per_branch_kernel(self, rule, conclusion, premises,
+                                                              other_context, reason):
+        import reference_kernel as ref
+        sig, gamma = qubit_sig(closed=("r", "r2")), (Prop("r"), Prop("r2"))
+        node = _node(rule, conclusion, premises, gamma,
+                     gamma + (Prop("p"),) if other_context else None)
+        res = check_proof(sig, node)
+        assert res == (CheckResult(True) if reason is None
+                       else CheckResult(False, (), f"{rule.value}: {reason}"))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(calculus, "_check_node", ref._check_node_by_branch)
+            assert check_proof(sig, node) == res
 
 
 # ------------------------------------------------------------ shared subproofs
