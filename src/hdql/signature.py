@@ -161,24 +161,18 @@ class Morphism:
                 raise MorphismError(f"{label} map is not injective")
         if self.source.dim != self.target.dim:
             raise MorphismError("morphisms must preserve the Hilbert part")
-        for a, b in self.unitaries.items():
-            if b not in self.target.unitaries:
-                raise MorphismError(f"unitary image {b!r} missing in target")
-            if not np.allclose(self.source.unitaries[a], self.target.unitaries[b],
-                               atol=self.source.tol):
-                raise MorphismError(f"frame data changed for unitary {a!r}")
-        for a, b in self.measurements.items():
-            if b not in self.target.measurements:
-                raise MorphismError(f"measurement image {b!r} missing in target")
-            s, t = self.source.measurements[a], self.target.measurements[b]
-            if np.max(np.abs(hl.projector(s) - hl.projector(t))) > 1e-7:
-                raise MorphismError(f"frame data changed for measurement {a!r}")
-        for a, b in self.vectors.items():
-            if b not in self.target.named_vectors:
-                raise MorphismError(f"vector image {b!r} missing in target")
-            if not np.allclose(self.source.named_vectors[a],
-                               self.target.named_vectors[b], atol=self.source.tol):
-                raise MorphismError(f"frame data changed for vector {a!r}")
+        for label, m, source, target, frame in (
+                ("unitary", self.unitaries, self.source.unitaries, self.target.unitaries,
+                 np.asarray),
+                ("measurement", self.measurements, self.source.measurements,
+                 self.target.measurements, hl.projector),
+                ("vector", self.vectors, self.source.named_vectors, self.target.named_vectors,
+                 np.asarray)):
+            for a, b in m.items():
+                if b not in target:
+                    raise MorphismError(f"{label} image {b!r} missing in target")
+                if not np.array_equal(frame(source[a]), frame(target[b])):
+                    raise MorphismError(f"frame data changed for {label} {a!r}")
         for a, b in self.props.items():
             if b not in self.target.props:
                 raise MorphismError(f"prop image {b!r} missing in target")

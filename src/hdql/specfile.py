@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -133,7 +134,7 @@ def _parse_matrix(text: str, where: str, errors: list[str]) -> np.ndarray | None
     return np.array(rows, dtype=complex)
 
 
-def _parse_gate_expr(text: str, where: str, errors: list[str]) -> np.ndarray | None:
+def _parse_gate_expr(text: str, where: str, errors: list[str], dim: int) -> np.ndarray | None:
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
@@ -141,18 +142,21 @@ def _parse_gate_expr(text: str, where: str, errors: list[str]) -> np.ndarray | N
             return None
         return _parse_matrix(text, where, errors)
     factors = [f.strip() for f in text.split("(x)")]
-    out = None
+    sizes = []
     for f in factors:
         if f in _BUILTIN_GATES:
-            m = _BUILTIN_GATES[f]
+            sizes.append(len(_BUILTIN_GATES[f]))
         elif re.fullmatch(r"I\d+", f):
-            m = hl.identity(int(f[1:]))
+            sizes.append(int(f[1:]))
         else:
             errors.append(f"{where}: unknown gate factor {f!r} "
                           "(built-ins: H, X, Y, Z, CNOT, I<n>)")
             return None
-        out = m if out is None else hl.tensor_op(out, m)
-    return out
+    if math.prod(sizes) > dim:  # checked before any matrix is built
+        errors.append(f"{where}: gate of size {math.prod(sizes)} in space of dim {dim}")
+        return None
+    return functools.reduce(hl.tensor_op, [_BUILTIN_GATES[f] if f in _BUILTIN_GATES
+                                           else hl.identity(n) for f, n in zip(factors, sizes)])
 
 
 def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
@@ -166,6 +170,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
     unitaries: dict[str, np.ndarray] = {}
     measure_raw: dict[str, list] = {}
     props: dict[str, bool] = {}
+    gate_lines: list[tuple[int, str, str]] = []
     axiom_lines: list[tuple[int, str]] = []
     goal_lines: list[tuple[int, str]] = []
     valuation_lines: list[tuple[int, str]] = []
@@ -199,10 +204,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
             if v is not None:
                 vectors[name.strip()] = v
         elif section == "UNITARY":
-            name, _, rhs = line.partition("=")
-            m = _parse_gate_expr(rhs, where, errors)
-            if m is not None:
-                unitaries[name.strip()] = m
+            gate_lines.append((lineno, *line.partition("=")[::2]))
         elif section == "MEASURE":
             name, _, rhs = line.partition("=")
             rhs = rhs.strip()
@@ -229,6 +231,10 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
     if dim is None:
         errors.append("missing SPACE section with the space dimension")
         raise SpecLoadError(errors)
+    for lineno, name, rhs in gate_lines:  # sized against SPACE, wherever SPACE stands
+        m = _parse_gate_expr(rhs, f"line {lineno}", errors, dim)
+        if m is not None:
+            unitaries[name.strip()] = m
 
     def resolve_state(item: str, where: str) -> np.ndarray | None:
         if item.startswith("("):

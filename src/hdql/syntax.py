@@ -9,30 +9,29 @@ explicit stacks, so depth is not bounded by the recursion limit: ``walk``
 yields nodes in pre-order, and ``fold`` computes a value bottom-up from a
 table with one entry per node class.
 
-Concrete grammar (ASCII), loosest binding first::
+Concrete grammar (ASCII)::
 
-    sentence := 'store' IDENT '.' sentence | imp
-    imp      := oplus (('=>' | '~>') imp)?            right-assoc
-    oplus    := conj ('(+)' conj)*
-    conj     := prefix ('/\\' prefix)*
-    prefix   := '!' prefix | '~' prefix | '[' action ']' prefix
-              | '<' action '>' prefix | '@' '(' term ')' prefix | atom
+    sentence := ('store' IDENT '.')* chain           a store scope runs right
+    chain    := prefix (INFIX prefix)*               '=>' '~>' '(+)' '/\\'
+    prefix   := ('!' | '~' | '[' action ']' | '<' action '>' | '@' '(' term ')')* atom
     atom     := '(' sentence ')' | 'here' '(' term ')'
               | 'until' '(' action ',' sentence ',' sentence ')' | IDENT
-
-    action   := comp ('|' comp)*                       union
-    comp     := starred (';' comp)?                    right-assoc
+    action   := starred (INFIX starred)*             '|' ';'
     starred  := aatom '*'* ;  aatom := IDENT | '(' action ')'
-
-    term     := factor ('+' factor)*                   vector sum
-    factor   := COMPLEX '*' factor | tatom             scalar multiple
+    term     := factor ('+' factor)*                 vector sum
+    factor   := COMPLEX '*' factor | tatom           scalar multiple
     tatom    := '0' | 'vec' '(' COMPLEX, ... ')' | '(' term ')'
-              | IDENT ('(' term ')')?                  constant / symbol app
+              | IDENT ('(' term ')')?                constant / symbol app
 
 Complex literals are written ``a+bi`` with optional parts (``2``, ``1i``,
-``2-3i``, ``-i``). ``@`` binds tighter than ``/\\``; a ``store`` scope extends as
-far right as possible. Printing is deterministic (17 significant digits)
-and reparses to a structurally equal AST.
+``2-3i``, ``-i``). The parser and the printer read each infix operator's
+binding and grouping from one table, ``_INFIX``; loosest first: ``+`` and
+``|``, then ``;``, ``=>`` and ``~>`` (grouping right), ``(+)``, ``/\\``, and
+the prefixes of a second table. One routine reads every infix chain on
+explicit stacks, and loops read prefixes and store binders, so none is bounded
+by the recursion limit; parentheses, applications and scalar multiples still
+recurse once per level. Printing is deterministic (17 significant digits) and
+reparses to a structurally equal AST.
 
 A numeral is the longest run of the form ``(D|.D)[D.]*([eE][+-]?D*)?``,
 where ``D`` is a decimal digit. It must read as ``D+(.D*)?`` or ``.D+``,
@@ -402,6 +401,45 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+# ------------------------------------------------------------ operators
+#
+# node class -> (token, binding strength, whether it groups to the right): the
+# parser's chains and the printer read this one table, so they cannot disagree
+_INFIX = {TSum: ("+", 0, False), AUnion: ("|", 0, False), AComp: (";", 1, True),
+          Imp: ("=>", 1, True), QImp: ("~>", 1, True), OPlus: ("(+)", 2, False),
+          And: ("/\\", 3, False)}
+
+
+def _chain(sort, operand):
+    """A parser method for a chain of operands of a sort, each read by
+    ``operand``, joined by the sort's infix operators (shunting yard). Each
+    pending operator waits on a stack with its left operand; an operator first
+    closes the pending ones that bind tighter, or as tight when it groups left."""
+    # token -> (node class, binding, the least binding of a pending operator it closes)
+    ops = {token: (cls, binding, binding + right)
+           for cls, (token, binding, right) in _INFIX.items() if cls in sort.__args__}
+
+    def chain(self):
+        right = operand(self)
+        op = ops.get(self.toks[self.pos][0])
+        if op is None:
+            return right
+        waiting = []  # (left operand, node class, binding) of each pending operator
+        while True:
+            least = 0 if op is None else op[2]
+            while waiting and waiting[-1][2] >= least:
+                left, cls, _ = waiting.pop()
+                right = cls(left, right)
+            if op is None:
+                return right
+            waiting.append((right, op[0], op[1]))
+            self.pos += 1
+            right = operand(self)
+            op = ops.get(self.toks[self.pos][0])
+
+    return chain
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -458,13 +496,6 @@ class _Parser:
         return complex(first, 0.0)
 
     # ------------------------------------------------------------ terms
-    def term(self) -> Term:
-        t = self.factor()
-        while self.peek()[0] == "+":
-            self.next()
-            t = TSum(t, self.factor())
-        return t
-
     def factor(self) -> Term:
         if self.at_complex():
             save = self.pos
@@ -474,6 +505,8 @@ class _Parser:
                 return TSmul(c, self.factor())
             self.pos = save  # a bare number is not a scalar multiple
         return self.tatom()
+
+    term = _chain(Term, factor)
 
     def tatom(self) -> Term:
         kind, text, _ = self.peek()
@@ -507,20 +540,6 @@ class _Parser:
         self.fail("expected a term")
 
     # ---------------------------------------------------------- actions
-    def action(self) -> Action:
-        a = self.comp()
-        while self.peek()[0] == "|":
-            self.next()
-            a = AUnion(a, self.comp())
-        return a
-
-    def comp(self) -> Action:
-        a = self.starred()
-        if self.peek()[0] == ";":
-            self.next()
-            return AComp(a, self.comp())
-        return a
-
     def starred(self) -> Action:
         kind, text, _ = self.peek()
         if kind == "(":
@@ -537,69 +556,42 @@ class _Parser:
             a = AStar(a)
         return a
 
+    action = _chain(Action, starred)
+
     # -------------------------------------------------------- sentences
     def sentence(self) -> Sentence:
-        kind, text, _ = self.peek()
-        if kind == "IDENT" and text == "store":
+        """A run of 'store x .' binders, then the chain they scope over."""
+        if self.toks[self.pos][1] != "store":  # only an IDENT has this text
+            return self.chain()
+        outer = len(self.bound)
+        while self.toks[self.pos][1] == "store":
             self.next()
-            var = self.expect("IDENT")[1]
+            self.bound.append(self.expect("IDENT")[1])
             self.expect(".")
-            self.bound.append(var)
-            body = self.sentence()
-            self.bound.pop()
-            return Store(var, body)
-        return self.imp()
-
-    def imp(self) -> Sentence:
-        left = self.oplus()
-        k = self.peek()[0]
-        if k == "=>":
-            self.next()
-            return Imp(left, self.imp())
-        if k == "~>":
-            self.next()
-            return QImp(left, self.imp())
-        return left
-
-    def oplus(self) -> Sentence:
-        s = self.conj()
-        while self.peek()[0] == "(+)":
-            self.next()
-            s = OPlus(s, self.conj())
-        return s
-
-    def conj(self) -> Sentence:
-        s = self.prefix()
-        while self.peek()[0] == "/\\":
-            self.next()
-            s = And(s, self.prefix())
+        s = self.chain()
+        for var in reversed(self.bound[outer:]):
+            s = Store(var, s)
+        del self.bound[outer:]
         return s
 
     def prefix(self) -> Sentence:
-        kind = self.peek()[0]
-        if kind == "!":
-            self.next()
-            return Not(self.prefix())
-        if kind == "~":
-            self.next()
-            return QNot(self.prefix())
-        if kind == "[":
-            self.next()
-            a = self.action()
-            self.expect("]")
-            return Nec(a, self.prefix())
-        if kind == "<":
-            self.next()
-            a = self.action()
-            self.expect(">")
-            return Pos(a, self.prefix())
-        if kind == "@":
-            self.next()
-            self.expect("(")
-            k = self.term()
-            self.expect(")")
-            return At(k, self.prefix())
-        return self.atom()
+        if self.toks[self.pos][0] not in _PREFIX:
+            return self.atom()
+        pending = []
+        while (entry := _PREFIX.get(self.toks[self.pos][0])) is not None:
+            self.pos += 1
+            cls, opener, read, closer = entry
+            if opener is not None:
+                self.expect(opener)
+            pending.append((cls, read and read(self)))
+            if closer is not None:
+                self.expect(closer)
+        s = self.atom()
+        for cls, arg in reversed(pending):
+            s = cls(s) if arg is None else cls(arg, s)
+        return s
+
+    chain = _chain(Sentence, prefix)  # a sentence but for leading store binders
 
     def atom(self) -> Sentence:
         kind, text, _ = self.peek()
@@ -630,6 +622,13 @@ class _Parser:
             self.next()
             return Prop(text)
         self.fail("expected a sentence")
+
+
+# prefix operators: token -> (node class, then the token that opens its
+# argument, the argument's reader and the token that closes it, or None each)
+_PREFIX = {"!": (Not, None, None, None), "~": (QNot, None, None, None),
+           "[": (Nec, None, _Parser.action, "]"), "<": (Pos, None, _Parser.action, ">"),
+           "@": (At, "(", _Parser.term, ")")}
 
 
 def _finish(parser: _Parser, node):
@@ -715,24 +714,25 @@ def _at(kid: tuple[str, int], place: int) -> str:
     return text if binding >= place else f"({text})"
 
 
+def _infix(token: str, binding: int, right: bool):
+    """An infix operator's printer: one operand sits at its binding, the other one
+    above, the left one when it groups right and the right one when it groups left."""
+    lo, ro = binding + right, binding + (not right)
+    return lambda n, k: (f"{_at(k[0], lo)} {token} {_at(k[1], ro)}", binding)
+
+
 # a node prints as (text, binding): a sum, a union or a store binds 0, and
 # what never needs parentheses binds 5; a child of another sort sits at 0
 _PRINT = dict.fromkeys((Name, Var, ASym, Prop), lambda n, k: (n.name, 5)) | {
+    cls: _infix(*spec) for cls, spec in _INFIX.items()} | {
     Origin: lambda n, k: ("0", 5),
     VecLit: lambda n, k: ("vec(" + ", ".join(map(format_complex, n.coords)) + ")", 5),
     TApp: lambda n, k: (f"{n.sym}({k[0][0]})", 5),
-    TSum: lambda n, k: (f"{k[0][0]} + {_at(k[1], 1)}", 0),
     TSmul: lambda n, k: (f"{format_complex(n.scalar)}*{_at(k[0], 1)}", 1),
-    AUnion: lambda n, k: (f"{k[0][0]} | {_at(k[1], 1)}", 0),
-    AComp: lambda n, k: (f"{_at(k[0], 2)} ; {_at(k[1], 1)}", 1),
     AStar: lambda n, k: (_at(k[0], 2) + "*", 2),
     Here: lambda n, k: (f"here({k[0][0]})", 5),
     UntilS: lambda n, k: (f"until({k[0][0]}, {k[1][0]}, {k[2][0]})", 5),
     Store: lambda n, k: (f"store {n.var} . {k[0][0]}", 0),
-    Imp: lambda n, k: (f"{_at(k[0], 2)} => {_at(k[1], 1)}", 1),
-    QImp: lambda n, k: (f"{_at(k[0], 2)} ~> {_at(k[1], 1)}", 1),
-    OPlus: lambda n, k: (f"{_at(k[0], 2)} (+) {_at(k[1], 3)}", 2),
-    And: lambda n, k: (f"{_at(k[0], 3)} /\\ {_at(k[1], 4)}", 3),
     Not: lambda n, k: ("!" + _at(k[0], 4), 4),
     QNot: lambda n, k: ("~" + _at(k[0], 4), 4),
     Nec: lambda n, k: (f"[{k[0][0]}] {_at(k[1], 4)}", 4),

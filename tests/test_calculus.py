@@ -12,7 +12,7 @@ from hdql import syntax as sx
 from hdql.calculus import (CheckResult, ProofSession, ProofTree, RuleId, SearchBudget,
                            Sequent, check_proof, proof_nodes, prove,
                            restrict_premises, used_premises)
-from hdql.errors import ProofError
+from hdql.errors import MorphismError, ProofError
 from hdql.semantics import FiniteVectors, QuantumModel, StarBudget
 from hdql.specfile import serialize_trace, trace_to_json
 from hdql.syntax import (And, At, Imp, Name, Nec, Origin, Prop, QImp, TApp,
@@ -1003,3 +1003,29 @@ class TestSharedSubproofs:
         res = check_proof(loose, ProofTree(tree.conclusion, RuleId.CONJ_I, (here, other)))
         assert not res.ok and res.path == (1,)
         assert res.reason == "SpanClosure: conclusion vector lies outside the span"
+
+
+class TestTranslationFrame:
+    def test_a_frame_changed_within_numpy_closeness_is_not_a_morphism(self):
+        # g and a rotation 5e-6 further differ by 3.5e-6 an entry, far above
+        # tol = 1e-9, yet within numpy's default relative closeness
+        def sig(theta):
+            g = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
+                         dtype=complex)
+            return sg.SignatureInstance(
+                dim=2, unitaries={"g": g}, measurements={},
+                named_vectors={"v0": hl.vector([0.6, 0.8])},
+                props=frozenset({"p"}), closed_props=frozenset(), tol=1e-9)
+        source, target = sig(np.pi / 4), sig(np.pi / 4 + 5e-6)
+        k, gamma = Name("v0"), [parse("@(v0) p")]
+        for _ in range(8):
+            k = TApp("g", k)
+        proof = prove(source, gamma, k, Prop("p"))
+        assert proof.holds and not prove(target, gamma, k, Prop("p")).holds
+        chi = sg.Morphism(source, target, unitaries={"g": "g"}, vectors={"v0": "v0"},
+                          props={"p": "p"})
+        with pytest.raises(MorphismError, match="frame data changed for unitary 'g'"):
+            chi.validate()
+        res = check_proof(target, ProofTree(proof.tree.conclusion, RuleId.TRANSLATION,
+                                            (proof.tree,), chi))
+        assert not res.ok and res.reason == "Translation: frame data changed for unitary 'g'"

@@ -396,6 +396,17 @@ class TestErrorPaths:
         assert code == 65
         assert "residual" in output
 
+    @pytest.mark.parametrize("gate, message", [
+        ("I100000000000", "gate of size 100000000000 in space of dim 2"),
+        ("FOO", "unknown gate factor 'FOO'"), ("[1, 0; 0]", "matrix is not square")],
+        ids=["oversized", "unknown", "not-square"])
+    def test_malformed_gate_exits_65_with_its_line(self, tmp_path, gate, message):
+        path = tmp_path / "bad.hdql"
+        path.write_text(f"SPACE 2\nUNITARY\n  g = {gate}\nPROPS\n  p\nGOAL AT 0 PROVE p\n")
+        code, output = run(["check", str(path)])
+        assert code == 65, output
+        assert output.startswith(f"line 3: {message}"), output
+
     @pytest.mark.parametrize("old, new, line", [
         ("v0 = (1, 0)", "v0 = (1.2.3, 0)", 3),
         ("x = [0, 1; 1, 0]", "x = [1, 0; 0, 1.2.3]", 7),

@@ -96,6 +96,24 @@ class TestLoadSpec:
         assert any("undeclared proposition 'q'" in err for err in e.value.errors)
         assert any("undeclared vector name 'ghost'" in err for err in e.value.errors)
 
+    @pytest.mark.parametrize("gate, size", [
+        ("I100000000000", 100000000000), ("H (x) I100000000000", 200000000000),
+        ("CNOT (x) I1000000000 (x) I1000000000", 4 * 10 ** 18), ("H (x) H", 4)])
+    def test_a_gate_larger_than_the_space_is_located_before_it_is_built(self, gate, size):
+        # no machine holds the matrix of the identity factors above
+        for text, line in [(f"SPACE 2\nUNITARY\n  g = {gate}\n", 3),
+                           (f"UNITARY\n  g = {gate}\nSPACE 2\n", 2)]:
+            with pytest.raises(SpecLoadError) as e:
+                load_spec_text(text)
+            assert e.value.errors == [f"line {line}: gate of size {size} in space of dim 2"]
+
+    def test_gates_are_built_after_a_late_space(self):
+        spec = load_spec_text("UNITARY\n  g = H (x) I2\nSPACE 4\n")
+        assert spec.sig.unitaries["g"].shape == (4, 4)
+        with pytest.raises(SpecLoadError) as e:  # no dimension, nothing built
+            load_spec_text("UNITARY\n  g = I100000000000\n  f = FOO\n")
+        assert e.value.errors == ["missing SPACE section with the space dimension"]
+
     def test_valuation_section(self):
         spec = load_spec_text(teleport_spec_text(0.6, 0.8, with_valuation=True))
         model = valuation_model(spec)
