@@ -9,6 +9,8 @@ anything the prover emits is independently certified. The prover is a
 deterministic backward chainer: right rules decompose the goal, a forward
 saturation pass turns the clause set into atomic facts, and closed
 propositions close under origin, scalar multiples, sums and finite-basis spans.
+Every rule it applies over premises it proves builds its node in one routine,
+``_Prover._apply``: the compound introductions, Imp/ImpC, Mult/Add, StarI, MP.
 
 The introduction and elimination rules of the compound sentences (retrieve,
 store, conjunction, and [f], [a;b] and [a|b] necessities) are defined once,
@@ -137,7 +139,7 @@ def proof_nodes(t: ProofTree):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the prover: node count and star bounds."""
+    """Caps for the prover: node count per query and star bounds."""
     max_nodes: int = 10 ** 6
     star: StarBudget = StarBudget()
 
@@ -424,15 +426,21 @@ class ProveResult:
         return self.status == "holds"
 
 
+# an implication class -> (its introduction, its modus ponens)
+_IMPLICATION = {Imp: (RuleId.IMP, RuleId.MP), QImp: (RuleId.IMP_C, RuleId.MP_C)}
+
+
 class _Counter:
-    __slots__ = ("left",)
+    """Nodes left to the current query, and whether any query ran out."""
+    __slots__ = ("left", "exhausted")
 
     def __init__(self, n: int):
-        self.left = n
+        self.left, self.exhausted = n, False
 
     def spend(self, n: int = 1) -> None:
         self.left -= n
         if self.left < 0:
+            self.exhausted = True
             raise BudgetExceeded("prover node budget exhausted")
 
 
@@ -632,14 +640,11 @@ class _Saturation:
 
     def availability(self, imp_index: int, k: sx.Term):
         """A proof of the implication at term k, or None."""
-        s, origin = self.imps[imp_index]
+        _, origin = self.imps[imp_index]
         if callable(origin):
             return origin(k)
-        tree: ProofTree = origin
-        if tree.conclusion.k == k:
-            return tree
-        if self.diagram_eq(tree.conclusion.k, k):
-            return ProofTree(Sequent(self.gamma, k, s), RuleId.EQ, (tree,))
+        if origin.conclusion.k == k or self.diagram_eq(origin.conclusion.k, k):
+            return _adapt_eq(self, origin, k)
         return None
 
 
@@ -698,17 +703,26 @@ class _Prover:
         if (idx, cid) in sat.fired:
             return False
         self.counter.spend()
-        avail = sat.availability(idx, k)
-        if avail is None:
-            return False
-        ante = self.prove(gamma, k, imp.left, allow_mp=False)
-        if ante is None:
+        tree = self._apply(gamma, k, imp.right, _IMPLICATION[type(imp)][1],
+                           (sat.availability(idx, k), (gamma, k, imp.left)), allow_mp=False)
+        if tree is None:
             return False
         sat.fired.add((idx, cid))
-        rule = RuleId.MP if isinstance(imp, Imp) else RuleId.MP_C
-        sat.add_fact(imp.right, k, ProofTree(Sequent(gamma, k, imp.right), rule,
-                                             (avail, ante)))
+        sat.add_fact(imp.right, k, tree)
         return True
+
+    def _apply(self, gamma, k: sx.Term, goal: sx.Sentence, rule: RuleId, premises,
+               allow_mp: bool, certificate=None) -> ProofTree | None:
+        """The rule's node at (k, goal) over its premises in order, or None at
+        the first that fails: each is a given proof (None if there is none), or
+        a (clause set, term, sentence) subgoal proved here."""
+        proved = []
+        for p in premises:
+            p = self.prove(p[0], p[1], p[2], allow_mp) if type(p) is tuple else p
+            if p is None:
+                return None
+            proved.append(p)
+        return ProofTree(Sequent(gamma, k, goal), rule, tuple(proved), certificate)
 
     def prove(self, gamma: tuple[sx.Sentence, ...], k: sx.Term,
               goal: sx.Sentence, allow_mp: bool = True) -> ProofTree | None:
@@ -721,12 +735,10 @@ class _Prover:
             return ProofTree(Sequent(gamma, k, goal), RuleId.MONOTONICITY)
         if isinstance(goal, Prop):
             return self._prove_prop(gamma, sat, k, goal, allow_mp)
-        if isinstance(goal, (Imp, QImp)):
-            inner = self.prove(gamma + (At(k, goal.left),), k, goal.right, allow_mp)
-            if inner is None:
-                return None
-            rule = RuleId.IMP if isinstance(goal, Imp) else RuleId.IMP_C
-            return ProofTree(Sequent(gamma, k, goal), rule, (inner,))
+        if type(goal) in _IMPLICATION:
+            rule = _IMPLICATION[type(goal)][0]
+            extended = gamma + premise_hypotheses(rule, Sequent(gamma, k, goal))
+            return self._apply(gamma, k, goal, rule, ((extended, k, goal.right),), allow_mp)
         if isinstance(goal, Nec) and isinstance(goal.action, AStar):
             return self._prove_star(gamma, sat, k, goal, allow_mp)
         entry = _components(k, goal)
@@ -735,13 +747,8 @@ class _Prover:
         if isinstance(goal, At) and not sat.is_ground(goal.term):
             return None
         intro, _, components = entry
-        premises = []
-        for t, part in components:
-            sub = self.prove(gamma, t, part, allow_mp)
-            if sub is None:
-                return None
-            premises.append(sub)
-        return ProofTree(Sequent(gamma, k, goal), intro, tuple(premises))
+        return self._apply(gamma, k, goal, intro, [(gamma, t, part) for t, part in components],
+                           allow_mp)
 
     def _prove_star(self, gamma, sat: _Saturation, k: sx.Term, goal: Nec, allow_mp: bool):
         a = goal.action
@@ -750,17 +757,15 @@ class _Prover:
         if not closed:
             self.star_exhausted = True
             return None
-        symbols, term, premises = _iterate_symbols(self.sig, a.body), k, []
-        for n in range(period + 1):
-            sub = (self.prove(gamma, term, goal.body, allow_mp) if symbols
-                   else self.prove(gamma, k, _star_power(a.body, n, goal.body), allow_mp))
-            if sub is None:
-                return None
-            premises.append(sub)
-            for f in symbols:
-                term = TApp(f, term)
-        return ProofTree(Sequent(gamma, k, goal), RuleId.STAR_I_BOUNDED,
-                         tuple(premises), certificate=period)
+        symbols = _iterate_symbols(self.sig, a.body)
+
+        def subgoals(term=k):  # premise n at the n-th iterate, or the n-fold unrolling
+            for n in range(period + 1):
+                yield (gamma, term, goal.body) if symbols else (
+                    gamma, k, _star_power(a.body, n, goal.body))
+                for f in symbols:
+                    term = TApp(f, term)
+        return self._apply(gamma, k, goal, RuleId.STAR_I_BOUNDED, subgoals(), allow_mp, period)
 
     def _prove_prop(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop,
                     allow_mp: bool):
@@ -773,16 +778,11 @@ class _Prover:
             tree = self._prove_by_span(gamma, sat, k, goal)
             if tree is not None:
                 return tree
-            if isinstance(k, TSmul):
-                inner = self.prove(gamma, k.arg, goal, allow_mp)
-                if inner is not None:
-                    return ProofTree(Sequent(gamma, k, goal), RuleId.MULT, (inner,))
-            if isinstance(k, TSum):
-                left = self.prove(gamma, k.left, goal, allow_mp)
-                right = left and self.prove(gamma, k.right, goal, allow_mp)
-                if left is not None and right is not None:
-                    return ProofTree(Sequent(gamma, k, goal), RuleId.ADD,
-                                     (left, right))
+            for rule, (cls, _, _, parts) in _LINEAR.items():  # Mult, then Add
+                tree = isinstance(k, cls) and self._apply(
+                    gamma, k, goal, rule, [(gamma, t, goal) for t in parts(k)], allow_mp)
+                if tree:
+                    return tree
             if sat.diagram_eq(k, Origin()):
                 return ProofTree(Sequent(gamma, k, goal), RuleId.ORIGIN)
         if allow_mp:
@@ -862,6 +862,7 @@ class ProofSession:
         Registering a query universe up front makes the fact base
         independent of later query order.
         """
+        self._prover.counter.left = self.budget.max_nodes
         sat = self._prover.saturation(self.gamma)
         for t in terms:
             sat.register_site(t)
@@ -892,13 +893,15 @@ class ProofSession:
         prover = self._prover
         if k not in prover.vectors and not sx.is_ground(k):  # evaluated means ground
             raise ProofError(f"goal term is not ground: {sx.format_term(k)}")
-        prover.star_exhausted = False
+        prover.star_exhausted, prover.counter.left = False, self.budget.max_nodes
         try:
             tree = prover.prove(self.gamma, k, goal)
         except BudgetExceeded as e:
             return ProveResult("unknown", reason=str(e))
         if tree is not None:
             return ProveResult("holds", tree=tree)
+        if prover.counter.exhausted:  # a BudgetExceeded can lose a popped queue item
+            return ProveResult("unknown", reason="the node budget ran out earlier in this session")
         if prover.star_exhausted or any(sat.incomplete for sat in prover.saturations.values()):
             return ProveResult("unknown", reason="a star orbit did not close within budget")
         return ProveResult("fails", reason="no rule applies to the remaining goals")

@@ -57,6 +57,8 @@ __all__ = [
 _SECTIONS = ("SPACE", "VECTORS", "UNITARY", "MEASURE", "PROPS", "AXIOMS",
              "GOAL", "VALUATION")
 
+MAX_SPACE = 1024  # the largest SPACE: a gate of that dimension is 16 MB
+
 _BUILTIN_GATES = {"H": hl.H, "X": hl.X, "Y": hl.Y, "Z": hl.Z, "CNOT": hl.CNOT}
 
 
@@ -187,6 +189,8 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
             if head == "SPACE":
                 try:
                     dim = int(rest)
+                    if dim > MAX_SPACE:  # refused before any array of that size is made
+                        errors.append(f"line {lineno}: SPACE {dim} exceeds the limit {MAX_SPACE}")
                 except ValueError:
                     errors.append(f"line {lineno}: SPACE needs an integer dimension")
             elif head == "GOAL":
@@ -230,6 +234,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
 
     if dim is None:
         errors.append("missing SPACE section with the space dimension")
+    if dim is None or dim > MAX_SPACE:
         raise SpecLoadError(errors)
     for lineno, name, rhs in gate_lines:  # sized against SPACE, wherever SPACE stands
         m = _parse_gate_expr(rhs, f"line {lineno}", errors, dim)

@@ -1,5 +1,7 @@
 """Prover and kernel: the teleportation derivation, rule schemas, budgets."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from hdql.calculus import (CheckResult, ProofSession, ProofTree, RuleId, SearchB
                            restrict_premises, used_premises)
 from hdql.errors import MorphismError, ProofError
 from hdql.semantics import FiniteVectors, QuantumModel, StarBudget
-from hdql.specfile import serialize_trace, trace_to_json
+from hdql.specfile import load_spec, serialize_trace, trace_to_json
 from hdql.syntax import (And, At, Imp, Name, Nec, Origin, Prop, QImp, TApp,
                          TSmul, TSum, VecLit, parse, parse_term)
 
@@ -1029,3 +1031,61 @@ class TestTranslationFrame:
         res = check_proof(target, ProofTree(proof.tree.conclusion, RuleId.TRANSLATION,
                                             (proof.tree,), chi))
         assert not res.ok and res.reason == "Translation: frame data changed for unitary 'g'"
+
+
+# ------------------------------------------------------- the budget per query
+
+TELEPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos",
+                        "teleport.hdql")
+
+
+class TestBudgetPerQuery:
+    def test_every_query_and_registration_gets_the_whole_budget(self):
+        spec = load_spec(TELEPORT)
+        k, goal = spec.goals[0]
+        session = ProofSession(spec.sig, spec.axioms, SearchBudget(max_nodes=400))
+        for i in range(40):  # one budget for the session ran out at the ninth query
+            session.register_terms([TApp("u0", k)])
+            result = session.prove(k, goal)
+            assert result.holds, (i, result.reason)
+            assert session._prover.counter.left > 0
+
+    def test_a_registration_after_a_query_gets_the_whole_budget(self):
+        # u is of infinite order, so every application of it is a new site
+        sig = sg.SignatureInstance(
+            dim=2, unitaries={"u": hl.random_unitary(2, np.random.default_rng(7))},
+            measurements={}, named_vectors={"v0": hl.vector([0.6, 0.8])},
+            props=frozenset({"q"}), closed_props=frozenset())
+        session = ProofSession(sig, [parse("@(v0) q")], SearchBudget(max_nodes=100))
+        k = Name("v0")
+        for _ in range(5):
+            for _ in range(60):
+                k = TApp("u", k)
+            assert session.prove(k, Prop("q")).status == "fails"  # 60 new sites
+            for _ in range(60):
+                k = TApp("u", k)
+            session.register_terms([k])  # 60 more, from the whole budget again
+        assert len(session._prover.saturation(session.gamma).sites) == 601
+
+    def test_a_session_that_ran_out_answers_unknown_never_fails(self):
+        # running out mid-unrolling of [g*] r at v0 loses the unrollings not
+        # yet made for good: the implication has fired there, and is not fired again
+        sig, gamma = rotation_sig(closed=()), [parse("@(v0) q"), parse("q => [g*] r")]
+        k, fifth = parse_term("g(g(g(g(g(v0)))))"), parse("[g ; g ; g ; g ; g] r")
+        fresh = ProofSession(sig, gamma)
+        assert fresh.prove(Name("v0"), Prop("r")).holds
+        needed = fresh.budget.max_nodes - fresh._prover.counter.left
+        assert fresh.prove(k, Prop("r")).holds
+        lost = 0
+        for n in range(1, needed):
+            session = ProofSession(sig, gamma, SearchBudget(max_nodes=n))
+            first = session.prove(Name("v0"), Prop("r"))
+            assert first.status == "unknown" and session._prover.counter.exhausted
+            sat = session._prover.saturations.get(session.gamma)
+            if sat is not None and sat.fired and (fifth, sat.intern(Name("v0"))) not in sat.facts:
+                second = session.prove(k, Prop("r"))  # derivable, yet no longer found
+                assert second.status == "unknown", second.reason
+                lost += second.reason == "the node budget ran out earlier in this session"
+            else:
+                assert session.prove(k, Prop("r")).status != "fails"
+        assert lost >= 10

@@ -10,6 +10,7 @@ import pytest
 from conftest import teleport_spec_text
 
 from hdql.cli import main
+from hdql.specfile import MAX_SPACE
 
 SMALL = """\
 SPACE 2
@@ -406,6 +407,15 @@ class TestErrorPaths:
         code, output = run(["check", str(path)])
         assert code == 65, output
         assert output.startswith(f"line 3: {message}"), output
+
+    @pytest.mark.parametrize("gates", ["", "UNITARY\n  g = I100000000000\n"],
+                             ids=["props-only", "identity-gate"])
+    def test_oversized_space_exits_65_with_its_line(self, tmp_path, gates):
+        path = tmp_path / "big.hdql"
+        path.write_text(f"SPACE 100000000000\n{gates}PROPS\n  p\nGOAL AT 0 PROVE p\n")
+        code, output = run(["check", str(path)])
+        assert code == 65, output
+        assert output == f"line 1: SPACE 100000000000 exceeds the limit {MAX_SPACE}\n"
 
     @pytest.mark.parametrize("old, new, line", [
         ("v0 = (1, 0)", "v0 = (1.2.3, 0)", 3),

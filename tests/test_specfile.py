@@ -12,8 +12,8 @@ from conftest import teleport_spec_text
 from hdql import syntax as sx
 from hdql.calculus import ProofSession, ProofTree, RuleId, Sequent, check_proof
 from hdql.errors import HdqlError
-from hdql.specfile import (SpecLoadError, _split_top, deserialize_trace, load_spec_text,
-                           serialize_trace, trace_from_json, trace_to_json,
+from hdql.specfile import (MAX_SPACE, SpecLoadError, _split_top, deserialize_trace,
+                           load_spec_text, serialize_trace, trace_from_json, trace_to_json,
                            valuation_model)
 
 
@@ -113,6 +113,23 @@ class TestLoadSpec:
         with pytest.raises(SpecLoadError) as e:  # no dimension, nothing built
             load_spec_text("UNITARY\n  g = I100000000000\n  f = FOO\n")
         assert e.value.errors == ["missing SPACE section with the space dimension"]
+
+    @pytest.mark.parametrize("text, line", [
+        ("SPACE 100000000000\nPROPS\n  p\nGOAL AT 0 PROVE p\n", 1),
+        ("SPACE 100000000000\nUNITARY\n  g = I100000000000\nPROPS\n  p\nGOAL AT 0 PROVE p\n", 1),
+        ("UNITARY\n  g = I100000000000\nSPACE 100000000000\n", 3)],
+        ids=["props", "identity-gate", "late-space"])
+    def test_a_space_above_the_limit_is_located_before_anything_is_sized(self, text, line):
+        # at the dimension no class table, gate or state could be allocated
+        with pytest.raises(SpecLoadError) as e:
+            load_spec_text(text)
+        assert e.value.errors == [f"line {line}: SPACE 100000000000 exceeds the limit {MAX_SPACE}"]
+
+    def test_the_space_limit_is_inclusive(self):
+        assert load_spec_text(f"SPACE {MAX_SPACE}\nPROPS\n  p\n").sig.dim == MAX_SPACE
+        with pytest.raises(SpecLoadError) as e:
+            load_spec_text(f"SPACE {MAX_SPACE + 1}\nPROPS\n  p\n")
+        assert e.value.errors == [f"line 1: SPACE {MAX_SPACE + 1} exceeds the limit {MAX_SPACE}"]
 
     def test_valuation_section(self):
         spec = load_spec_text(teleport_spec_text(0.6, 0.8, with_valuation=True))
