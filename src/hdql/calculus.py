@@ -233,13 +233,13 @@ def check_proof(sig: SignatureInstance, tree: ProofTree,
     met again in one signature is skipped, as its first place checked it.
     """
     seen, spans = {}, {}  # (signature, node) -> its first place; SpanClosure spans
-    stack = [(sig, tree, (None, None, spans))]
+    stack = [(sig, tree, (None, None))]
     while stack:
         sig, t, place = stack.pop()
         if seen.setdefault((sig, t), place) is not place:  # checked at its first place
             continue
         try:
-            bad = _check_node(sig, t, budget, place)
+            bad = _check_node(sig, t, budget, place, spans)
         except BudgetExceeded as e:
             return CheckResult(False, (), f"budget exceeded: {e}")
         except HdqlError as e:
@@ -248,13 +248,13 @@ def check_proof(sig: SignatureInstance, tree: ProofTree,
             return bad
         if t.rule is RuleId.TRANSLATION:  # the premise lives in the source signature
             sig = t.certificate.source
-        stack += [(sig, p, (place, i, spans)) for i, p in reversed(list(enumerate(t.premises)))]
+        stack += [(sig, p, (place, i)) for i, p in reversed(list(enumerate(t.premises)))]
     return CheckResult(True)
 
 
 def _bad(place, reason) -> CheckResult:
-    """Reject the node at place: (its parent's place, its index there, the
-    check's memo of SpanClosure spans). Only a rejected node's path is built."""
+    """Reject the node at place, (its parent's place, its index there): only
+    a rejected node's path is built."""
     path = []
     while place[0] is not None:
         path.append(place[1])
@@ -263,10 +263,10 @@ def _bad(place, reason) -> CheckResult:
 
 
 def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
-                path: tuple) -> CheckResult | None:
+                path: tuple, spans: dict) -> CheckResult | None:
     """Why the node at path (a place, see _bad) breaks its rule schema, or
-    None if it does not. Premise counts, closed goals and Mult/Add come from
-    the tables _ARITY, _CLOSED_GOAL and _LINEAR, checked before the branches."""
+    None; spans memoizes the check's SpanClosure spans. Premise counts, closed
+    goals and Mult/Add come from _ARITY, _CLOSED_GOAL and _LINEAR, checked first."""
     gamma, k, goal = t.conclusion.gamma, t.conclusion.k, t.conclusion.goal
     rule = t.rule
     prem = t.premises
@@ -308,8 +308,8 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 and tuple(p.conclusion.k for p in prem) == parts(k)):
             return _bad(path, f"{rule.value}: {mismatch}")
     elif rule is RuleId.SPAN_CLOSURE:
-        key = (sig, tuple(p.conclusion.k for p in prem))  # path[2] maps it to its span
-        span, vecs = path[2].get(key), []
+        key = (sig, tuple(p.conclusion.k for p in prem))
+        span, vecs = spans.get(key), []
         for i, p in enumerate(prem):
             if not same_context(p) or p.conclusion.goal != goal:
                 return _bad(path, f"SpanClosure: premise {i} proves something else")
@@ -320,7 +320,7 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
                 if np.max(np.abs(gram - np.eye(len(vecs)))) > max(sig.tol, 1e-10):
                     return _bad(path, "SpanClosure: premise family is not orthonormal")
-            span = path[2][key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
+            span = spans[key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
                                  else hl.zero_subspace(sig.dim))
         if not hl.member(span, eval_term(sig, k), sig.tol):
             return _bad(path, "SpanClosure: conclusion vector lies outside the span")
@@ -455,7 +455,8 @@ class _Saturation:
 
     Facts are sequents (gamma |-^t s) keyed by (sentence, vector class);
     clauses themselves are available at every term via Monotonicity and
-    are instantiated lazily at registered terms.
+    are instantiated lazily at registered terms. A closed proposition's span
+    grows by one Gram-Schmidt step per fact, over its facts' classes in order.
     """
 
     def __init__(self, sig: SignatureInstance, gamma: tuple[sx.Sentence, ...],
@@ -479,8 +480,10 @@ class _Saturation:
         # class ids acting as instantiation sites, in registration order
         self.sites: dict[int, None] = {}
         self.walked: set[sx.Term] = set()  # terms register_site walked in full
-        self.span_dirty: set[str] = set()
-        self.spans: dict[str, tuple] = {}  # r -> (basis, entries, premises or None)
+        self.props: dict[str, list] = {}  # p -> its facts' [(class id, proof)], in order
+        # closed r -> (basis, its props entries, SpanClosure premises or None)
+        self.spans = {r: (hl.zero_subspace(sig.dim), self.props.setdefault(r, []), None)
+                      for r in sig.closed_props}
         self.incomplete = False
         for c in gamma:
             self._add_universal(c, self._mono_builder(c))
@@ -555,8 +558,14 @@ class _Saturation:
         if key in self.facts:
             return
         self.facts[key] = proof
-        if isinstance(s, Prop) and s.name in self.sig.closed_props:
-            self.span_dirty.add(s.name)
+        if isinstance(s, Prop):
+            self.props.setdefault(s.name, []).append((cid, proof))
+            if s.name in self.spans:  # one step for the span, and a new family
+                basis, entries, _ = self.spans[s.name]
+                rows = list(basis.basis)
+                if hl.gram_schmidt_step(rows, self.class_vecs.rows[cid], self.sig.tol):
+                    basis = hl.Subspace(self.sig.dim, np.array(rows))
+                self.spans[s.name] = (basis, entries, None)
         if isinstance(s, (Imp, QImp)):
             self.imps.append((s, proof))
             return
@@ -591,8 +600,7 @@ class _Saturation:
             self._add_universal(part, build)
 
     def _instantiate(self, s: sx.Sentence, builder, term: sx.Term) -> None:
-        if _at_sites(s):
-            self._eliminate_fact(s, term, builder(term))
+        self._eliminate_fact(s, term, builder(term))
 
     def _unroll_star(self, s: sx.Sentence, builder, term: sx.Term) -> None:
         """StarE of the star fact s at term for n = 0..period, the rounds the
@@ -626,16 +634,6 @@ class _Saturation:
     # -- spans for closed propositions ---------------------------------------
     def span_of(self, r: str):
         """Orthonormal basis of the provable span, its entries and premises."""
-        if r in self.span_dirty or r not in self.spans:
-            self.span_dirty.discard(r)
-            entries = [(cid, proof) for (s, cid), proof in self.facts.items()
-                       if isinstance(s, Prop) and s.name == r]
-            vecs = [self.class_vecs.rows[cid] for cid, _ in entries]
-            if vecs:
-                basis = hl.orthonormalize(vecs, dim=self.sig.dim, tol=self.sig.tol)
-            else:
-                basis = hl.zero_subspace(self.sig.dim)
-            self.spans[r] = (basis, entries, None)
         return self.spans[r]
 
     def availability(self, imp_index: int, k: sx.Term):
@@ -689,13 +687,21 @@ class _Prover:
         changed = True
         while changed:
             tried, known, spans = set(sat.sites), len(sat.facts), ranks()
-            changed = False
-            for idx, (imp, _) in enumerate(list(sat.imps)):
-                for cid in list(sat.sites):
-                    changed |= self._fire(gamma, sat, idx, imp, sat.class_terms[cid], cid)
+            changed = self._modus_ponens(
+                gamma, sat, lambda: [(sat.class_terms[cid], cid) for cid in sat.sites])
             sat.drain()
             changed = (changed or ranks() != spans
                        or any(cid in tried for _, cid in islice(sat.facts, known, None)))
+
+    def _modus_ponens(self, gamma, sat: _Saturation, sites) -> bool:
+        """Fire each implication known now at each (term, class id) of sites(),
+        re-read per implication (an antecedent's proof registers sites); True if any fired."""
+        fired = False
+        for idx in range(len(sat.imps)):
+            imp = sat.imps[idx][0]
+            for k, cid in sites():
+                fired |= self._fire(gamma, sat, idx, imp, k, cid)
+        return fired
 
     def _fire(self, gamma, sat: _Saturation, idx: int, imp: sx.Sentence,
               k: sx.Term, cid: int) -> bool:
@@ -785,18 +791,12 @@ class _Prover:
                     return tree
             if sat.diagram_eq(k, Origin()):
                 return ProofTree(Sequent(gamma, k, goal), RuleId.ORIGIN)
-        if allow_mp:
-            tree = self._prove_by_mp(gamma, sat, k, goal)
-            if tree is not None:
-                return tree
-        return self._lookup_fact(sat, k, goal)
-
-    def _lookup_fact(self, sat: _Saturation, k: sx.Term, goal: sx.Sentence):
         cid = sat.intern(k)
+        if allow_mp and sat.imps:  # at k itself, not at its class's representative
+            self._modus_ponens(gamma, sat, lambda: ((k, cid),))
+            sat.drain()
         proof = sat.facts.get((goal, cid))
-        if proof is None:
-            return None
-        return _adapt_eq(sat, proof, k)
+        return None if proof is None else _adapt_eq(sat, proof, k)
 
     def _prove_by_span(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop):
         basis, entries, family = sat.span_of(goal.name)
@@ -825,16 +825,6 @@ class _Prover:
                 premises.append(combo)
             sat.spans[goal.name] = (basis, entries, tuple(premises))
         return ProofTree(Sequent(gamma, k, goal), RuleId.SPAN_CLOSURE, sat.spans[goal.name][2])
-
-    def _prove_by_mp(self, gamma, sat: _Saturation, k: sx.Term, goal: Prop):
-        cid = sat.intern(k)
-        progressed = False
-        for idx, (imp, _) in enumerate(list(sat.imps)):
-            progressed |= self._fire(gamma, sat, idx, imp, k, cid)
-        if progressed:
-            sat.drain()
-            return self._lookup_fact(sat, k, goal)
-        return None
 
 
 class ProofSession:
@@ -881,7 +871,7 @@ class ProofSession:
         them past the registered terms), and of the given terms too when the
         session holds the proposition at every state."""
         sat = self._prover.saturation(self.gamma)
-        cids = {cid for (s, cid) in sat.facts if isinstance(s, Prop) and s.name == p}
+        cids = {cid for cid, _ in sat.props.get(p, ())}
         if Prop(p) in sat.universal:
             cids.update(map(sat.intern, terms))
         return sat.class_vecs.rows[sorted(cids)]

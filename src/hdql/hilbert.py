@@ -19,8 +19,8 @@ DEFAULT_TOL = 1e-9
 
 __all__ = [
     "DEFAULT_TOL", "Subspace", "vector", "operator", "inner", "norm",
-    "vec_eq", "VectorTable", "zero_subspace", "full_space", "orthonormalize",
-    "orthocomplement", "project", "projector", "member", "direct_sum",
+    "vec_eq", "VectorTable", "zero_subspace", "full_space", "gram_schmidt_step",
+    "orthonormalize", "orthocomplement", "project", "projector", "member", "direct_sum",
     "intersect", "apply_measurement", "is_unitary", "tensor", "tensor_op",
     "basis_state", "ket", "H", "X", "Y", "Z", "CNOT", "identity",
     "random_state", "random_unitary", "random_subspace",
@@ -148,8 +148,23 @@ def full_space(dim: int) -> Subspace:
     return Subspace(dim, np.eye(dim, dtype=complex))
 
 
+def gram_schmidt_step(rows: list, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Append v's residual after projecting out the orthonormal rows, normalized,
+    unless it is at most tol * max(1, |v|); whether it was appended."""
+    u = v.astype(complex)
+    for _ in range(2):  # re-orthogonalization keeps the basis orthonormal to ~eps
+        for b in rows:
+            u = u - np.vdot(b, u) * b
+    r = norm(u)
+    if r <= tol * max(1.0, norm(v)):
+        return False
+    rows.append(u / r)
+    return True
+
+
 def orthonormalize(vs, dim: int | None = None, tol: float = DEFAULT_TOL) -> Subspace:
-    """Gram-Schmidt an arbitrary family into a Subspace spanning it.
+    """Gram-Schmidt an arbitrary family into a Subspace spanning it: a span
+    grows by one ``gram_schmidt_step`` per vector, in order.
 
     Vectors whose residual after projecting out the basis so far is at most
     tol * max(1, |v|) are dropped, so duplicates and near-dependent inputs
@@ -164,14 +179,7 @@ def orthonormalize(vs, dim: int | None = None, tol: float = DEFAULT_TOL) -> Subs
     for v in vs:
         if v.shape[0] != dim:
             raise DimensionMismatch(f"vector of dim {v.shape[0]} in space of dim {dim}")
-        u = v.astype(complex)
-        # two passes: re-orthogonalization keeps the basis orthonormal to ~eps
-        for _ in range(2):
-            for b in rows:
-                u = u - np.vdot(b, u) * b
-        r = norm(u)
-        if r > tol * max(1.0, norm(v)):
-            rows.append(u / r)
+        gram_schmidt_step(rows, v, tol)
     if not rows:
         return zero_subspace(dim)
     return Subspace(dim, np.array(rows))

@@ -80,9 +80,10 @@ _SORT_OF = {"Term": TERM, "Action": ACTION, "Sentence": SENTENCE}
 def _node(cls):
     """Make an AST node class a frozen, slotted dataclass that hashes once.
 
-    The hash is the dataclass's generated field-tuple hash, stored in the
-    ``_hash`` slot on first use, so a dict lookup no longer walks the tree.
-    Pickling and copying carry the fields only: a node loaded under another
+    The hash covers the class name and the generated field-tuple hash, so
+    ``And(p, q)`` and ``Imp(p, q)`` differ; the ``_hash`` slot stores it on
+    first use, so a dict lookup no longer walks the tree. Pickling and
+    copying carry the fields only: a node loaded under another
     ``PYTHONHASHSEED`` computes its hash afresh. ``_kids[sorts]`` names the
     child fields of the given sorts; ``_push[sorts]`` in stack order.
     """
@@ -92,13 +93,13 @@ def _node(cls):
     cls._kids = tuple(tuple(name for name, sort in zip(cls._fields, sorts) if sort & mask)
                       for mask in range(ALL + 1))
     cls._push = tuple(names[::-1] for names in cls._kids)
-    field_hash = cls.__hash__
+    field_hash, name = cls.__hash__, cls.__name__
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = field_hash(self)
+            h = hash((name, field_hash(self)))
             object.__setattr__(self, "_hash", h)
             return h
 

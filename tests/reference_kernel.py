@@ -27,7 +27,7 @@ from hdql.syntax import (AComp, ASym, AStar, AUnion, And, At, Imp, Nec, Origin, 
                          Store, TApp, TSmul, TSum)
 
 
-def _check_node(sig, t: ProofTree, budget, path):
+def _check_node(sig, t: ProofTree, budget, path, spans):
     gamma, k, goal = t.conclusion.gamma, t.conclusion.k, t.conclusion.goal
     rule = t.rule
     prem = t.premises
@@ -144,7 +144,7 @@ def _check_node(sig, t: ProofTree, budget, path):
         if not same_context(prem[0]) or p.k != k or goal not in wanted:
             return _bad(path, "UnionE: conclusion is not one of the branches")
     else:
-        return _kernel_node(sig, t, budget, path)
+        return _kernel_node(sig, t, budget, path, spans)
     return None
 
 
@@ -153,7 +153,7 @@ def _closed_prop(sig, goal) -> bool:
 
 
 def _check_node_by_branch(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
-                           path: tuple) -> CheckResult | None:
+                           path: tuple, spans: dict) -> CheckResult | None:
     """Why the node at path (a place, see _bad) breaks its rule schema, or
     None if it does not."""
     gamma, k, goal = t.conclusion.gamma, t.conclusion.k, t.conclusion.goal
@@ -217,8 +217,8 @@ def _check_node_by_branch(sig: SignatureInstance, t: ProofTree, budget: StarBudg
     elif rule is RuleId.SPAN_CLOSURE:
         if not _closed_prop(sig, goal):
             return _bad(path, "SpanClosure: goal must be a closed proposition")
-        key = (sig, tuple(p.conclusion.k for p in prem))  # path[2] maps it to its span
-        span, vecs = path[2].get(key), []
+        key = (sig, tuple(p.conclusion.k for p in prem))  # spans maps it to its span
+        span, vecs = spans.get(key), []
         for i, p in enumerate(prem):
             if not same_context(p) or p.conclusion.goal != goal:
                 return _bad(path, f"SpanClosure: premise {i} proves something else")
@@ -229,7 +229,7 @@ def _check_node_by_branch(sig: SignatureInstance, t: ProofTree, budget: StarBudg
                 gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
                 if np.max(np.abs(gram - np.eye(len(vecs)))) > max(sig.tol, 1e-10):
                     return _bad(path, "SpanClosure: premise family is not orthonormal")
-            span = path[2][key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
+            span = spans[key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
                                  else hl.zero_subspace(sig.dim))
         if not hl.member(span, eval_term(sig, k), sig.tol):
             return _bad(path, "SpanClosure: conclusion vector lies outside the span")

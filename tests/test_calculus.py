@@ -154,6 +154,26 @@ class TestClosedPropRules:
         rules = {n.rule for n in proof_nodes(result.tree)}
         assert RuleId.SPAN_CLOSURE in rules
 
+    def test_each_fact_of_a_closed_proposition_takes_one_gram_schmidt_step(self, monkeypatch):
+        sig = qubit_sig()
+        steps, calls = [], []
+        step, orthonormalize = hl.gram_schmidt_step, hl.orthonormalize
+        monkeypatch.setattr(hl, "gram_schmidt_step",
+                            lambda rows, v, tol: steps.append(v) or step(rows, v, tol))
+        monkeypatch.setattr(hl, "orthonormalize",
+                            lambda *a, **kw: calls.append(a) or orthonormalize(*a, **kw))
+        # four classes of r, the last two dependent; v0 + 0*v1 is v0's class
+        clauses = ["@(v0) r", "@(vp) r", "@(v1) r", "@(2*v0) r", "@(v0 + 0*v1) r", "@(v1) p"]
+        session = ProofSession(sig, [parse(c) for c in clauses])
+        assert session.prove(TSum(Name("v1"), Name("vp")), Prop("r")).holds
+        session.register_terms([Name("vp"), TApp("h", Name("v1"))])
+        assert session.prove(Name("v1"), Prop("r")).holds
+        sat = session._prover.saturation(session.gamma)
+        facts = [cid for s, cid in sat.facts if s == Prop("r")]
+        assert len(facts) == len(steps) == 4 and not calls
+        assert all(np.array_equal(v, sat.class_vecs.rows[cid]) for v, cid in zip(steps, facts))
+        assert sat.span_of("r")[0].rank == 2
+
     def test_scaled_and_summed_terms(self):
         sig = qubit_sig()
         gamma = [At(Name("v0"), Prop("r"))]
@@ -438,7 +458,7 @@ def reference_register_site(sat, term):
         cid = sat.intern(sub)
         if cid not in sat.sites:
             sat.sites[cid] = None
-            for s, builder in list(sat.universal.items()):
+            for s, builder in list(sat.at_sites.items()):
                 sat.queue.append(("inst", s, builder, sat.class_terms[cid]))
 
 
@@ -906,8 +926,8 @@ class TestSharedSubproofs:
         sig, tree = _rotation_proof()
         checked = []
         check_node = calculus._check_node
-        monkeypatch.setattr(calculus, "_check_node", lambda sig, t, budget, path:
-                            checked.append(t) or check_node(sig, t, budget, path))
+        monkeypatch.setattr(calculus, "_check_node", lambda sig, t, budget, path, spans:
+                            checked.append(t) or check_node(sig, t, budget, path, spans))
         assert check_proof(sig, tree).ok
         distinct = set(proof_nodes(tree))
         assert len(checked) == len(set(checked)) == len(distinct)
@@ -972,8 +992,8 @@ class TestSharedSubproofs:
                          (origin, moved))
         checked = []
         check_node = calculus._check_node
-        monkeypatch.setattr(calculus, "_check_node", lambda sig, t, budget, path:
-                            checked.append((sig, t)) or check_node(sig, t, budget, path))
+        monkeypatch.setattr(calculus, "_check_node", lambda sig, t, budget, path, spans:
+                            checked.append((sig, t)) or check_node(sig, t, budget, path, spans))
         res = check_proof(target, tree)
         assert checked == [(target, tree), (target, origin), (target, moved), (source, origin)]
         assert not res.ok and res.path == (1, 0)

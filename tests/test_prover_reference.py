@@ -2,7 +2,9 @@
 the prover from before (tests/reference_prover.py), swapped in for
 ``calculus._Prover``: on seeded sessions, the demos and files shaped like the
 benchmark's, every query must get the same status, reason, text and JSON
-trace and nodes left, and every saturation the same facts, classes and sites."""
+trace and nodes left, and every saturation the same facts, classes and sites.
+On the same sessions, every closed span (grown a Gram-Schmidt step per fact)
+must be the orthonormalization of a scan of the facts."""
 
 import math
 import os
@@ -162,6 +164,64 @@ class TestSeededSessions:
         assert {RuleId.RET_I, RuleId.STORE_I, RuleId.CONJ_I, RuleId.FT_I, RuleId.COMP_E,
                 RuleId.UNION_I, RuleId.IMP, RuleId.IMP_C, RuleId.MP, RuleId.MP_C,
                 RuleId.MULT, RuleId.ADD, RuleId.STAR_I_BOUNDED} <= rules
+
+
+# ------------------------------------------------------ spans grown a step at a time
+
+def scanned_span(sat, r):
+    """The span rebuilt from a scan of the facts: the entries of r in fact
+    order, and the orthonormalization of their classes' rows."""
+    entries = [(cid, proof) for (s, cid), proof in sat.facts.items()
+               if isinstance(s, Prop) and s.name == r]
+    rows = [sat.class_vecs.rows[cid] for cid, _ in entries]
+    return hl.orthonormalize(rows, dim=sat.sig.dim, tol=sat.sig.tol), entries
+
+
+def scanned_prop_rows(sat, p, terms):
+    cids = {cid for (s, cid) in sat.facts if isinstance(s, Prop) and s.name == p}
+    if Prop(p) in sat.universal:
+        cids.update(map(sat.intern, terms))
+    return sat.class_vecs.rows[sorted(cids)]
+
+
+def check_spans(sig, gamma, queries, budget=SearchBudget(), register=None):
+    """Run the session, comparing every closed span of every saturation with
+    its scan after each call, then prop_rows with its scan (unless the budget
+    ran out before the clause set's saturation was built); the spans checked."""
+    session, checked = ProofSession(sig, gamma, budget), 0
+    calls = [lambda: session.register_terms(register)] if register is not None else []
+    for k, g in queries:
+        calls.append(lambda k=k, g=g: session.prove(k, g))
+    for call in calls:
+        try:
+            call()
+        except BudgetExceeded:
+            pass
+        for sat in session._prover.saturations.values():
+            for r in sorted(sig.closed_props):
+                basis, entries, _ = sat.span_of(r)
+                want, scanned = scanned_span(sat, r)
+                assert np.array_equal(basis.basis, want.basis)
+                assert len(entries) == len(scanned)
+                assert all(c == d and p is q for (c, p), (d, q) in zip(entries, scanned))
+                checked += 1
+    sat, terms = session._prover.saturations.get(session.gamma), [k for k, _ in queries]
+    for p in sorted(sig.props | sig.closed_props) if sat is not None else ():
+        assert np.array_equal(session.prop_rows(p, terms), scanned_prop_rows(sat, p, terms))
+    return checked
+
+
+class TestSpans:
+    def test_spans_and_prop_rows_are_those_of_the_fact_scans(self):
+        checked = 0
+        for seed in range(320):
+            checked += check_spans(*seeded_session(seed))
+        for spec in spec_files():
+            for goal in spec.goals:
+                checked += check_spans(spec.sig, spec.axioms, [goal])
+            checked += check_spans(spec.sig, spec.axioms, spec.goals,
+                                   register=[k for k, _ in spec.goals])
+        assert checked >= 1000
 
 
 # ----------------------------------------------- the demos and bench shapes

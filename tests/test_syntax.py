@@ -467,9 +467,17 @@ class TestParseErrorLocation:
 
 NODE_CLASSES = (Name, Var, VecLit, Origin, TSum, TSmul, TApp, ASym, AComp, AUnion, AStar,
                 Prop, Here, At, And, Not, QNot, Nec, Pos, Store, Imp, QImp, OPlus, UntilS)
-# plain frozen dataclasses with the same fields: their generated hash is the
-# field-tuple hash every node computed, recursively, before nodes cached it
-_MIRRORS = {cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
+
+
+def _named_field_hash(x):
+    """The hash of x's class name and its field-tuple hash."""
+    return hash((type(x).__name__, hash(tuple(getattr(x, f.name) for f in fields(x)))))
+
+
+# plain frozen dataclasses with the same names and fields, hashed afresh on
+# every call by _named_field_hash, recursively: the hash every node caches
+_MIRRORS = {cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True,
+                                namespace={"__hash__": _named_field_hash})
             for cls in NODE_CLASSES}
 
 
@@ -519,8 +527,16 @@ class TestHashOnce:
             for node in _nodes(s):
                 seen.add(type(node))
                 assert hash(node) == hash(_mirror(node))
-                assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields(node)))
+                assert hash(node) == _named_field_hash(node)
         assert seen == set(NODE_CLASSES)
+
+    def test_siblings_with_the_same_fields_hash_apart(self):
+        p, q, a, b = Prop("p"), Prop("q"), ASym("a"), ASym("b")
+        assert len({hash(cls(p, q)) for cls in (And, Imp, QImp, OPlus)}) == 4
+        assert hash(AComp(a, b)) != hash(AUnion(a, b))
+        assert len({hash(cls(a, p)) for cls in (Nec, Pos)}) == 2
+        assert len({hash(cls(p)) for cls in (Not, QNot)}) == 2
+        assert hash(Name("w0")) != hash(Var("w0"))
 
     def test_assignment_raises(self):
         for s in _hash_corpus():
