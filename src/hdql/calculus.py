@@ -1,11 +1,12 @@
 """Sequent calculus: proof objects, a trusted checking kernel, and a prover.
 
 Proof trees are plain data, and a proof may share a subtree between several
-places (the prover builds one SpanClosure premise family per span); traces
-still write it out at each place. ``check_proof`` re-validates each node
-object once per signature against its rule schema, recomputing all numeric
-side conditions (diagram equality, span membership, orbit closure), so
-anything the prover emits is independently certified. The prover is a
+places (the prover builds one SpanClosure premise family per span, and the
+trace decoder shares equal subtrees); traces still write it out at each place.
+``check_proof`` re-validates each node object once per signature against its
+rule schema, recomputing all numeric side conditions (diagram equality, span
+membership, orbit closure) from each term's state evaluated once, so anything
+the prover emits is independently certified. The prover is a
 deterministic backward chainer: right rules decompose the goal, a forward
 saturation pass turns the clause set into atomic facts, and closed
 propositions close under origin, scalar multiples, sums and finite-basis spans.
@@ -43,8 +44,7 @@ from . import hilbert as hl
 from . import syntax as sx
 from .errors import BudgetExceeded, HdqlError, ProofError
 from .semantics import QuantumModel, StarBudget, orbit
-from .signature import (Morphism, SignatureInstance, apply_symbol, classify_in,
-                        diagram_eq, diagram_residual, eval_term, state_residual)
+from .signature import Morphism, SignatureInstance, classify_in, eval_memo, state_residual
 from .syntax import (AComp, ASym, AStar, AUnion, And, At, Imp, Nec, Origin,
                      Prop, QImp, Store, TApp, TSmul, TSum)
 
@@ -230,16 +230,18 @@ def check_proof(sig: SignatureInstance, tree: ProofTree,
     node is reported and depth is not bounded by Python's recursion limit.
     A side condition that raises an HdqlError (an unknown name, a vector of
     the wrong dimension, a missing premise) rejects its node. A node object
-    met again in one signature is skipped, as its first place checked it.
+    met again in one signature is skipped, as its first place checked it, so
+    a decoded trace (its decoder shares equal subtrees) has each distinct
+    subproof checked once; each term is evaluated once per signature.
     """
-    seen, spans = {}, {}  # (signature, node) -> its first place; SpanClosure spans
+    seen, memo = {}, {}  # (signature, node) -> its first place; see _check_node
     stack = [(sig, tree, (None, None))]
     while stack:
         sig, t, place = stack.pop()
         if seen.setdefault((sig, t), place) is not place:  # checked at its first place
             continue
         try:
-            bad = _check_node(sig, t, budget, place, spans)
+            bad = _check_node(sig, t, budget, place, memo)
         except BudgetExceeded as e:
             return CheckResult(False, (), f"budget exceeded: {e}")
         except HdqlError as e:
@@ -263,9 +265,10 @@ def _bad(place, reason) -> CheckResult:
 
 
 def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
-                path: tuple, spans: dict) -> CheckResult | None:
+                path: tuple, memo: dict) -> CheckResult | None:
     """Why the node at path (a place, see _bad) breaks its rule schema, or
-    None; spans memoizes the check's SpanClosure spans. Premise counts, closed
+    None; memo holds the check's SpanClosure spans by (signature, premise terms)
+    and its term states (see eval_memo) by signature. Premise counts, closed
     goals and Mult/Add come from _ARITY, _CLOSED_GOAL and _LINEAR, checked first."""
     gamma, k, goal = t.conclusion.gamma, t.conclusion.k, t.conclusion.goal
     rule = t.rule
@@ -273,6 +276,9 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
 
     def same_context(p: ProofTree) -> bool:
         return p.conclusion.gamma == gamma
+
+    def value(term: sx.Term) -> np.ndarray:
+        return eval_memo(sig, term, memo.setdefault(sig, {}))
 
     n = _ARITY.get(rule)
     if n is not None and len(prem) != n:
@@ -298,7 +304,7 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
         if renamed != t.conclusion:
             return _bad(path, "Translation: conclusion is not the renamed premise")
     elif rule is RuleId.ORIGIN:
-        if not diagram_eq(sig, k, Origin()):
+        if not state_residual(value(k), value(Origin())) <= sig.tol:
             return _bad(path, "Origin: term does not denote the origin vector")
     elif rule in _LINEAR:
         cls, what, mismatch, parts = _LINEAR[rule]
@@ -309,29 +315,28 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
             return _bad(path, f"{rule.value}: {mismatch}")
     elif rule is RuleId.SPAN_CLOSURE:
         key = (sig, tuple(p.conclusion.k for p in prem))
-        span, vecs = spans.get(key), []
+        span, vecs = memo.get(key), []
         for i, p in enumerate(prem):
             if not same_context(p) or p.conclusion.goal != goal:
                 return _bad(path, f"SpanClosure: premise {i} proves something else")
             if span is None:
-                vecs.append(eval_term(sig, p.conclusion.k))
+                vecs.append(value(p.conclusion.k))
         if span is None:
             if vecs:
                 gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
                 if np.max(np.abs(gram - np.eye(len(vecs)))) > max(sig.tol, 1e-10):
                     return _bad(path, "SpanClosure: premise family is not orthonormal")
-            span = spans[key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
+            span = memo[key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
                                  else hl.zero_subspace(sig.dim))
-        if not hl.member(span, eval_term(sig, k), sig.tol):
+        if not hl.member(span, value(k), sig.tol):
             return _bad(path, "SpanClosure: conclusion vector lies outside the span")
     elif rule is RuleId.EQ:
         p = prem[0].conclusion
         if not same_context(prem[0]) or p.goal != goal:
             return _bad(path, "EQ: premise proves a different sentence")
-        if not diagram_eq(sig, p.k, k):
-            return _bad(path,
-                        f"EQ: terms are not diagram-equal "
-                        f"(residual {diagram_residual(sig, p.k, k):.3e})")
+        residual = state_residual(value(p.k), value(k))
+        if not residual <= sig.tol:  # a NaN residual rejects too
+            return _bad(path, f"EQ: terms are not diagram-equal (residual {residual:.3e})")
     elif rule in _TABLE_RULES:
         intro, what = _TABLE_RULES[rule]
         whole = t.conclusion if intro else prem[0].conclusion  # the compound side
@@ -377,7 +382,7 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
             term = c.k if at_iterate else term  # equal: the next comparison stays shallow
             for f in symbols:
                 term = TApp(f, term)
-        _, period, closed = orbit(QuantumModel(sig, {}), body_action, eval_term(sig, k), budget)
+        _, period, closed = orbit(QuantumModel(sig, {}), body_action, value(k), budget)
         if not closed:
             return _bad(path, "StarI: successor orbit does not close within budget")
         if period > m:
@@ -490,13 +495,9 @@ class _Saturation:
 
     # -- class table ------------------------------------------------------
     def vector(self, term: sx.Term) -> np.ndarray:
-        """eval_term, memoized: s(t) is apply_symbol(s, vector(t)), as there."""
+        """eval_term, memoized for the session by eval_memo on a miss."""
         v = self.vectors.get(term)
-        if v is None:
-            v = self.vectors[term] = (
-                apply_symbol(self.sig, term.sym, self.vector(term.arg))
-                if isinstance(term, TApp) else eval_term(self.sig, term))
-        return v
+        return eval_memo(self.sig, term, self.vectors) if v is None else v
 
     def is_ground(self, term: sx.Term) -> bool:
         return term in self.vectors or sx.is_ground(term)  # evaluated means ground

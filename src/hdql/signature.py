@@ -21,7 +21,7 @@ from .hilbert import DEFAULT_TOL, Subspace
 
 __all__ = [
     "SignatureInstance", "Violation", "Morphism", "identity_morphism",
-    "eval_term", "apply_symbol", "diagram_eq", "diagram_residual", "state_residual",
+    "eval_term", "eval_memo", "apply_symbol", "diagram_eq", "diagram_residual", "state_residual",
     "validate", "apply_morphism", "classify_in",
 ]
 
@@ -114,6 +114,20 @@ def eval_term(sig: SignatureInstance, k: sx.Term) -> np.ndarray:
     if isinstance(k, sx.TApp):
         return apply_symbol(sig, k.sym, eval_term(sig, k.arg))
     raise TypeError(f"not a term: {k!r}")
+
+
+def eval_memo(sig: SignatureInstance, k: sx.Term, memo: dict) -> np.ndarray:
+    """eval_term through memo (term -> state), which it extends, looping down applications."""
+    chain = []
+    while (v := memo.get(k)) is None and type(k) is sx.TApp:
+        chain.append(k)
+        k = k.arg
+    if v is None:
+        v = memo[k] = eval_term(sig, k)
+    while chain:
+        k = chain.pop()
+        v = memo[k] = apply_symbol(sig, k.sym, v)
+    return v
 
 
 def apply_symbol(sig: SignatureInstance, sym: str, v: np.ndarray) -> np.ndarray:

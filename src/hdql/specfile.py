@@ -25,9 +25,9 @@ start a line. Proof traces serialize to a line-oriented indented tree, one
 node per line (``rule | term | sentence`` with an optional certificate
 suffix), or to a JSON mirror of the same fields; both round-trip exactly.
 Both formats are thin layers over one walk of pre-order node records, and
-one decoder rebuilds the tree from them, parsing each distinct term and
-sentence text once. JSON traces are written compact on one line; indented
-JSON is still read.
+one decoder rebuilds the tree from them, reading each distinct text once and
+sharing equal subtrees. JSON traces are written compact on one line;
+indented JSON is still read.
 """
 
 from __future__ import annotations
@@ -408,23 +408,38 @@ def trace_to_json(gamma, tree: ProofTree) -> str:
 
 _RULES_BY_NAME = {r.value: r for r in RuleId}
 _CERT_SUFFIX = re.compile(r"(.*) \[n=(\d+)\]")
+_APPLICATION = re.compile(r"([A-Za-z_][\w']*)\((.*)\)", re.ASCII)
 
 
 def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     """Rebuild (clause set, proof tree) from pre-order records.
 
-    Each distinct text is parsed once per decode. This is exact: parsing is
-    a pure function of the text and the ASTs are frozen, so nodes share them.
+    Each distinct text is read once per decode. A term text f(t) with no
+    comment, f an ASCII name but vec and t read before as a term, is f over
+    t's term: t's brackets balance, so the final ')' closes f's '('. Equal
+    subtrees are shared: a row with an earlier one's texts, certificate and
+    premise objects, over an equal clause set, is that row's node, so the
+    kernel checks each distinct subproof once and evaluates each term once.
     """
-    term, sentence = functools.cache(sx.parse_term), functools.cache(sx.parse_sentence)
+    sentence, terms = functools.cache(sx.parse_sentence), {}  # terms: text -> term
+
+    def term(text: str) -> sx.Term:
+        if (t := terms.get(text)) is None:
+            m = _APPLICATION.fullmatch(text)
+            arg = terms.get(m[2]) if m and m[1] != "vec" and "#" not in text else None
+            t = terms[text] = sx.parse_term(text) if arg is None else sx.TApp(m[1], arg)
+        return t
+
     gamma = tuple(map(sentence, gamma_texts))
-    roots: list[ProofTree] = []
-    open_: list[tuple] = []  # per depth: rule, conclusion, cert, premises, child gamma
+    roots, nodes = [], {}  # nodes: (row, premise objects) -> its latest node
+    open_: list[tuple] = []  # per depth: (rule, texts, cert), conclusion, premises, child gamma
 
     def close() -> None:
-        rule, conclusion, cert, premises, _ = open_.pop()
-        tree = ProofTree(conclusion, rule, tuple(premises), cert)
-        (open_[-1][3] if open_ else roots).append(tree)
+        row, conclusion, premises, _ = open_.pop()
+        tree = nodes.get(key := (row, tuple(premises)))
+        if tree is None or tree.conclusion.gamma != conclusion.gamma:  # Imp's leaves differ
+            tree = nodes[key] = ProofTree(conclusion, row[0], key[1], row[3])
+        (open_[-1][2] if open_ else roots).append(tree)
 
     for n, (depth, rule_name, term_text, goal_text, cert) in enumerate(records):
         while len(open_) > depth:
@@ -434,9 +449,9 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
         rule = _RULES_BY_NAME.get(rule_name)
         if rule is None:
             raise HdqlError(f"node {n}: unknown rule {rule_name!r}")
-        conclusion = Sequent(open_[-1][4] if open_ else gamma,
+        conclusion = Sequent(open_[-1][3] if open_ else gamma,
                              term(term_text), sentence(goal_text))
-        open_.append((rule, conclusion, cert, [],
+        open_.append(((rule, term_text, goal_text, cert), conclusion, [],
                       conclusion.gamma + premise_hypotheses(rule, conclusion)))
     while open_:
         close()

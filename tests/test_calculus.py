@@ -1109,3 +1109,23 @@ class TestBudgetPerQuery:
             else:
                 assert session.prove(k, Prop("r")).status != "fails"
         assert lost >= 10
+
+
+# ------------------------------------------------------------ deep terms
+
+class TestDeepTerms:
+    @pytest.mark.parametrize("call", ["vector", "register_terms", "prove"])
+    def test_a_session_evaluates_a_3000_deep_term_without_recursing(self, call):
+        spec = load_spec(TELEPORT)
+        k = Name("w0")
+        for _ in range(3000):  # hashed one level at a time, as the first hash recurses
+            k = TApp("u0", k)
+            hash(k)
+        session = ProofSession(spec.sig, spec.axioms)
+        if call == "vector":  # u0 is an involution
+            assert np.allclose(session.vector(k), spec.sig.named_vectors["w0"])
+        elif call == "register_terms":
+            session.register_terms([k])
+            assert session.intern(k) == session.intern(Name("w0"))
+        else:
+            assert session.prove(k, parse("[u1] p")).status == "fails"

@@ -1,0 +1,344 @@
+"""The trace decoder that shares equal subtrees and reads a term f(t) over
+t's term against the decoder from before (tests/reference_decoder.py),
+swapped in for ``specfile._build``: on the proofs of the seeded sessions, the
+demos, files shaped like the benchmark's and the unrolled rotation traces,
+in both formats, both decoders must give equal clause sets, the same rule,
+conclusion and certificate at every place, byte-identical re-encodings and
+the same kernel verdict; seeded mutants of the text traces must get the
+same verdict, or the same error. Then the term reading against the parser,
+and the kernel's counts on decoded star traces."""
+
+import json
+import os
+
+import numpy as np
+import pytest
+import reference_decoder as ref
+from test_prover_reference import seeded_session, spec_files
+from test_specfile import star_spec
+
+from hdql import calculus, specfile
+from hdql import signature as sg
+from hdql import syntax as sx
+from hdql.calculus import ProofSession, check_proof, proof_nodes
+from hdql.errors import BudgetExceeded, HdqlError, ParseError
+from hdql.specfile import (deserialize_trace, load_spec, serialize_trace, trace_from_json,
+                           trace_to_json)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROTATION = os.path.join(HERE, os.pardir, "demos", "rotation.hdql")
+
+
+def proofs(sig, gamma, queries, budget=calculus.SearchBudget(), register=None):
+    """(signature, clause set, tree) of each query the session proves."""
+    session = ProofSession(sig, gamma, budget)
+    if register is not None:
+        try:
+            session.register_terms(register)
+        except BudgetExceeded:
+            pass
+    out = []
+    for k, goal in queries:
+        result = session.prove(k, goal)
+        if result.holds:
+            out.append((sig, session.gamma, result.tree))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """(signature, trace) pairs: each proof in both formats (JSON where the
+    stdlib json reaches its depth), and the unrolled rotation traces. Proofs
+    whose text trace exceeds 1 MB are left out, so that the test runs in
+    seconds: three seeded ones, the largest of which writes a 41 MB trace
+    (each Add row prints the whole sum below it)."""
+    found = []
+    for seed in range(320):
+        found += proofs(*seeded_session(seed))
+    for spec in spec_files():
+        found += proofs(spec.sig, spec.axioms, spec.goals)
+    traces = []
+    for sig, gamma, tree in found:
+        text = serialize_trace(gamma, tree)
+        if len(text) > 2 ** 20:
+            continue
+        traces.append((sig, text))
+        try:
+            traces.append((sig, trace_to_json(gamma, tree)))
+        except RecursionError:
+            pass
+    rotation = load_spec(ROTATION).sig
+    for name in ("rotation_unrolled.trace", "rotation_unrolled.json"):
+        with open(os.path.join(HERE, "traces", name), encoding="utf-8") as fh:
+            traces.append((rotation, fh.read()))
+    return traces
+
+
+def decode(trace):
+    """(clause set, tree) of a trace in either format, or its error's text."""
+    try:
+        return (trace_from_json if trace.startswith("{") else deserialize_trace)(trace)
+    except HdqlError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def decode_by_reference(trace):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(specfile, "_build", ref._build)
+        return decode(trace)
+
+
+def places(tree):
+    """(rule, conclusion, certificate) at each place, in walk order, with the
+    conclusion's ASTs printed: the printer reparses to an equal AST, so equal
+    texts are equal ASTs, and it compares deep terms without recursing."""
+    memo = {}
+
+    def text(seq):
+        return (tuple(sx.format_sentence(c, memo) for c in seq.gamma),
+                sx.format_term(seq.k, memo), sx.format_sentence(seq.goal, memo))
+    return [(n.rule, text(n.conclusion), n.certificate) for n in proof_nodes(tree)]
+
+
+def assert_same_decodes(sig, trace):
+    """Both decoders' results agree; returns the new decoder's result and
+    its kernel verdict (None for a trace that does not decode)."""
+    new, old = decode(trace), decode_by_reference(trace)
+    if isinstance(old, str):
+        assert new == old
+        return new, None
+    (gamma, tree), (old_gamma, old_tree) = new, old
+    assert gamma == old_gamma
+    assert places(tree) == places(old_tree)
+    assert serialize_trace(gamma, tree) == serialize_trace(old_gamma, old_tree)
+    try:
+        assert trace_to_json(gamma, tree) == trace_to_json(old_gamma, old_tree)
+    except RecursionError:  # the stdlib json stops near 500 levels
+        pass
+    verdict = check_proof(sig, tree)
+    assert verdict == check_proof(sig, old_tree)  # ok, path and reason
+    return new, verdict
+
+
+class TestCorpus:
+    def test_same_trees_encodings_and_verdicts_as_the_reference(self, corpus):
+        shared = 0
+        assert len(corpus) >= 400
+        for sig, trace in corpus:
+            (gamma, tree), verdict = assert_same_decodes(sig, trace)
+            assert verdict.ok
+            encode = trace_to_json if trace.startswith("{") else serialize_trace
+            assert encode(gamma, tree) == trace or trace.startswith("{\n")
+            nodes = list(proof_nodes(tree))
+            shared += len(set(nodes)) < len(nodes)
+        assert shared >= 20  # the star proofs' SpanClosure families, at least
+
+    def test_a_repeated_subtree_is_one_node_object(self):
+        spec = star_spec(12)
+        sig, gamma, tree = proofs(spec.sig, spec.axioms, spec.goals)[0]
+        for trace in (serialize_trace(gamma, tree), trace_to_json(gamma, tree)):
+            _, back = decode(trace)
+            closures = [n for n in proof_nodes(back) if n.rule is calculus.RuleId.SPAN_CLOSURE]
+            assert len(closures) == 12
+            assert all(n.premises == closures[0].premises for n in closures)
+            _, old = decode_by_reference(trace)
+            assert len(set(proof_nodes(back))) < len(set(proof_nodes(old)))
+
+    def test_a_leaf_under_an_implication_is_not_shared_with_its_twin_outside(self):
+        text = ("HDQL-TRACE 1\ngamma 1\n  q\nproof\nConjI | v0 | (p => q) /\\ q\n"
+                "  Imp | v0 | p => q\n    Monotonicity | v0 | q\n  Monotonicity | v0 | q\n")
+        gamma, tree = decode(text)
+        inner, outer = tree.premises[0].premises[0], tree.premises[1]
+        assert inner is not outer
+        assert inner.conclusion.gamma == gamma + (sx.parse("@(v0) p"),)
+        assert outer.conclusion.gamma == gamma
+        assert places(tree) == places(decode_by_reference(text)[1])
+
+
+# ----------------------------------------------------------- seeded mutants
+
+def rows_of(trace):
+    """(header lines, node rows) of a text trace."""
+    lines = trace.splitlines()
+    n = lines.index("proof") + 1
+    return lines[:n], lines[n:]
+
+
+def indent(row):
+    return len(row) - len(row.lstrip(" "))
+
+
+def repeated_copies(rows):
+    """Lists of (start, end) row ranges holding equal subtrees, for each
+    subtree that occurs more than once."""
+    copies = {}
+    for i, row in enumerate(rows):
+        j = i + 1
+        while j < len(rows) and indent(rows[j]) > indent(row):
+            j += 1
+        copies.setdefault(tuple(r[indent(row):] for r in rows[i:j]), []).append((i, j))
+    return [c for c in copies.values() if len(c) > 1]
+
+
+def changed_row(row, what, goals, rng):
+    """The row with its Mult coefficient, its goal or its certificate changed."""
+    pad, (rule, term, rest) = row[:indent(row)], row.strip().split(" | ", 2)
+    goal, _, cert = rest.partition(" [n=")
+    if what == "coefficient":
+        k = sx.parse_term(term)
+        scale = complex(rng.choice([2, -1, 1j, 1 + 1e-3]))
+        term = sx.format_term(sx.TSmul(k.scalar * scale, k.arg)) if isinstance(
+            k, sx.TSmul) else sx.format_term(sx.TSmul(scale, k))
+    elif what == "goal":
+        goal = str(rng.choice(sorted(set(goals) - {goal}) or ["p"]))
+    else:
+        n = int(cert[:-1]) if cert else 0
+        cert = f"{max(0, n + int(rng.choice([-1, 1, 2])))}]"
+    return f"{pad}{rule} | {term} | {goal}" + (f" [n={cert}" if cert else "")
+
+
+KINDS = ("coefficient", "goal", "certificate", "delete", "indent")
+# kind -> the text of the rows it changes, when a copy of a repeated subtree has one
+MARKS = {"coefficient": "Mult | ", "certificate": " [n="}
+
+
+def mutants(trace, rng, count):
+    """Seeded mutants of a text trace: a row of one copy of a repeated subtree
+    changed (a Mult coefficient, a goal, a certificate), deleted or
+    re-indented. (kind, mutant) pairs."""
+    head, rows = rows_of(trace)
+    in_copies = sorted({i for group in repeated_copies(rows) for start, end in group
+                        for i in range(start, end)})
+    goals = [r.strip().split(" | ", 2)[2].partition(" [n=")[0] for r in rows]
+    for _ in range(count):
+        kind = str(rng.choice(KINDS))
+        pool = [i for i in in_copies if MARKS.get(kind, "") in rows[i]] or in_copies
+        i, new = pool[int(rng.integers(len(pool)))], list(rows)
+        if kind == "delete":
+            del new[i]
+        elif kind == "indent":
+            new[i] = rows[i][2:] if indent(rows[i]) and rng.random() < 0.5 else "  " + rows[i]
+        else:
+            new[i] = changed_row(rows[i], kind, goals, rng)
+        yield kind, "\n".join(head + new) + "\n"
+
+
+class TestMutants:
+    def test_same_verdicts_or_errors_as_the_reference(self, corpus):
+        rng = np.random.default_rng(2027)
+        sources = [(sig, trace) for sig, trace in corpus if not trace.startswith("{")
+                   and len(trace) < 50_000 and repeated_copies(rows_of(trace)[1])]
+        assert len(sources) >= 20
+        outcomes, count = set(), 0
+        for sig, trace in sources:
+            for kind, mutant in mutants(trace, rng, 6):
+                _, verdict = assert_same_decodes(sig, mutant)
+                outcomes.add((kind, "error" if verdict is None else verdict.ok))
+                count += 1
+        assert count >= 400
+        # each kind of mutant was caught, by the decoder or by the kernel
+        assert {kind for kind, ok in outcomes if ok is not True} == set(KINDS)
+        assert any(ok is True for _, ok in outcomes)
+
+    def test_a_changed_copy_of_a_shared_family_is_rejected_where_it_stands(self):
+        spec = load_spec(ROTATION)
+        tree = ProofSession(spec.sig, spec.axioms).prove(*spec.goals[0]).tree
+        gamma = tree.conclusion.gamma
+        for trace in (serialize_trace(gamma, tree), trace_to_json(gamma, tree)):
+            parts = trace.split("1*v1")
+            assert len(parts) == 9  # one family under each of the eight SpanClosures
+            forged = "1*v1".join(parts[:3]) + "2*v1" + "1*v1".join(parts[3:])
+            _, verdict = assert_same_decodes(spec.sig, forged)
+            assert (verdict.ok, verdict.path) == (False, (2,))
+            assert verdict.reason == "SpanClosure: premise family is not orthonormal"
+
+
+# ------------------------------------------------------------- term reading
+
+def read_terms(texts):
+    """The terms the decoder reads for the texts, in order (premises of one
+    JSON node keep every text as written), or its error's text."""
+    doc = {"version": 1, "gamma": [], "proof": {
+        "rule": "ConjI", "term": "0", "goal": "p", "certificate": None, "premises": [
+            {"rule": "Monotonicity", "term": text, "goal": "p", "certificate": None,
+             "premises": []} for text in texts]}}
+    result = decode(json.dumps(doc))
+    return result if isinstance(result, str) else [p.conclusion.k for p in result[1].premises]
+
+
+def parsed_terms(texts):
+    """What sx.parse_term gives for the texts, or the first error's text."""
+    try:
+        return [sx.parse_term(text) for text in texts]
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def assert_read_as_parsed(texts):
+    got, want = read_terms(texts), parsed_terms(texts)
+    assert got == want and [type(t) for t in got] == [type(t) for t in want]
+
+
+class TestTermReading:
+    def test_formatted_random_terms_and_their_subterms(self):
+        from gen import random_ground_term
+        rng = np.random.default_rng(2028)
+        symbols = ["u0", "g", "m0", "i", "store", "f'"]
+        applied = 0
+        for _ in range(300):
+            t = random_ground_term(rng, int(rng.integers(1, 6)), ["w0", "v1"], symbols)
+            subs = list(sx.walk(t, sx.TERM))[::-1]  # the innermost first
+            texts = [sx.format_term(s) for s in subs]
+            assert_read_as_parsed(texts)
+            assert read_terms(texts)[-1] == t
+            applied += isinstance(t, sx.TApp)
+        assert applied >= 30
+
+    @pytest.mark.parametrize("texts", [
+        ["0", "vec(0)"], ["vec(1, 0)"], ["1, 0", "vec(1, 0)"], ["v0", "i(v0)"],
+        ["v0", "f (v0)"], ["v0 # c", "f(v0 # c)"], ["v0", " f(v0)"], ["v0", "f(v0) "],
+        ["v0", "store(v0)"], ["v0", "fé(v0)"], ["v0", "é(v0)"], ["v0 ", "f(v0 )"],
+        ["a", "f(a) + g(b)"], ["b", "a", "f(a) + g(b)"], ["a", "f(a)*2"], ["a", "2*f(a)"],
+        ["a", "f(a)(b)"], ["a", "f((a))"], ["(a)", "f((a))"], ["a", "f(a", "f(a))"]],
+        ids=repr)
+    def test_edge_cases(self, texts):
+        assert_read_as_parsed(texts)
+
+
+# ------------------------------------------------------------- kernel counts
+
+def star_proof(order):
+    spec = star_spec(order)
+    sig, gamma, tree = proofs(spec.sig, spec.axioms, spec.goals)[0]
+    assert tree.certificate == order - 1
+    return sig, gamma, tree
+
+
+class TestKernelCounts:
+    def test_a_decoded_star_trace_has_as_many_node_checks_as_the_provers_tree(
+            self, monkeypatch):
+        sig, gamma, tree = star_proof(16)
+        calls = []
+        check_node = calculus._check_node
+        monkeypatch.setattr(calculus, "_check_node", lambda sig, t, budget, path, memo:
+                            calls.append(t) or check_node(sig, t, budget, path, memo))
+        counts = []
+        for trace in (None, serialize_trace(gamma, tree), trace_to_json(gamma, tree)):
+            calls.clear()
+            assert check_proof(sig, tree if trace is None else decode(trace)[1]).ok
+            counts.append(len(calls))
+        assert counts == [len(set(proof_nodes(tree)))] * 3
+
+    def test_symbol_applications_grow_linearly_in_the_order(self, monkeypatch):
+        apply_symbol, calls = sg.apply_symbol, []
+        monkeypatch.setattr(sg, "apply_symbol", lambda *a: calls.append(a[1]) or apply_symbol(*a))
+        counts = {}
+        for order in (8, 16, 24):
+            sig, gamma, tree = star_proof(order)
+            for trace in (None, serialize_trace(gamma, tree), trace_to_json(gamma, tree)):
+                calls.clear()
+                assert check_proof(sig, tree if trace is None else decode(trace)[1]).ok
+                counts.setdefault(order, set()).add(len(calls))
+        assert all(len(c) == 1 for c in counts.values())  # the same for the three trees
+        (a,), (b,), (c,) = counts[8], counts[16], counts[24]
+        assert c - b == b - a and a <= 2 * 8

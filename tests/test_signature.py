@@ -51,6 +51,36 @@ class TestEvalTerm:
             sg.eval_term(small_sig(), TApp("nope", Name("v0")))
 
 
+
+class TestEvalMemo:
+    def test_same_states_as_eval_term_with_every_application_memoized(self):
+        from gen import random_ground_term
+        rng = np.random.default_rng(31)
+        sig, memo = small_sig(), {}
+        for _ in range(200):
+            k = random_ground_term(rng, int(rng.integers(1, 7)), ["v0", "v1"], ["h", "x", "m0"])
+            assert np.array_equal(sg.eval_memo(sig, k, memo), sg.eval_term(sig, k))
+            chain = k
+            while isinstance(chain, TApp):
+                assert np.array_equal(memo[chain], sg.eval_term(sig, chain))
+                chain = chain.arg
+            assert chain in memo
+
+    def test_a_memoized_state_is_used_as_it_is(self):
+        sig, inner = small_sig(), parse_term("x(v0)")
+        memo = {inner: np.array([0, 1j])}
+        assert np.array_equal(sg.eval_memo(sig, TApp("x", inner), memo), [1j, 0])
+
+    @pytest.mark.parametrize("k", [TApp("nope", TApp("x", sx.Var("z"))),
+                                   TApp("nope", TApp("x", Name("v0"))),
+                                   TApp("x", TApp("nope", Name("w9")))])
+    def test_errors_come_innermost_first_as_from_eval_term(self, k):
+        with pytest.raises(SymbolError) as want:
+            sg.eval_term(small_sig(), k)
+        with pytest.raises(SymbolError) as got:
+            sg.eval_memo(small_sig(), k, {})
+        assert str(got.value) == str(want.value)
+
 class TestDiagramEq:
     def test_zero_is_neutral(self):
         sig = small_sig()
