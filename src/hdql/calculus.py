@@ -44,7 +44,8 @@ from . import hilbert as hl
 from . import syntax as sx
 from .errors import BudgetExceeded, HdqlError, ProofError
 from .semantics import QuantumModel, StarBudget, orbit
-from .signature import Morphism, SignatureInstance, classify_in, eval_memo, state_residual
+from .signature import (Morphism, SignatureInstance, apply_symbol, classify_in, eval_memo,
+                        state_residual)
 from .syntax import (AComp, ASym, AStar, AUnion, And, At, Imp, Nec, Origin,
                      Prop, QImp, Store, TApp, TSmul, TSum)
 
@@ -508,10 +509,8 @@ class _Saturation:
     def intern(self, term: sx.Term) -> int:
         cid = self.class_of.get(term)
         if cid is None:
-            vec = self.vector(term)
-            cid = self.class_vecs.find(vec)
-            if cid < 0:
-                cid = self.class_vecs.add(vec)
+            cid, added = self.class_vecs.find_or_add(self.vector(term))
+            if added:
                 self.class_terms.append(term)
             self.class_of[term] = cid
         return cid
@@ -523,7 +522,8 @@ class _Saturation:
         """
         if term in self.walked:  # most calls, from queries on known terms
             return
-        for sub in sx.walk(term, sx.TERM, self.walked.__contains__):
+        for sub in ((term,) if type(term) is sx.TApp and term.arg in self.walked
+                    else sx.walk(term, sx.TERM, self.walked.__contains__)):
             cid = self.intern(sub)
             if cid not in self.sites:
                 self.counter.spend()  # one node per site, whatever it instantiates
@@ -866,6 +866,34 @@ class ProofSession:
     def intern(self, k: sx.Term) -> int:
         """The id of a ground term's vector class in the session's table."""
         return self._prover.saturation(self.gamma).intern(k)
+
+    def universe(self, depth: int, max_terms: int) -> tuple[list[sx.Term], bool]:
+        """A term per class reached from the origin and the clause set's ground
+        terms in up to depth symbol applications, at most max_terms, and whether
+        the cap left one out; a new candidate costs one evaluation and one probe."""
+        sat = self._prover.saturation(self.gamma)
+        syms = sorted(self.sig.unitaries) + sorted(self.sig.measurements)
+        universe: dict[int, sx.Term] = {}  # class id -> representative, in order
+        level = ((t, None, None) for t in [sx.Origin()] + [  # (term, symbol, argument's state)
+            t for c in self.gamma for t in sx.sentence_terms(c) if sx.is_ground(t)])
+        for _ in range(depth + 1):
+            new = []
+            for term, s, v in level:
+                cid = sat.class_of.get(term)
+                if cid is None:
+                    w = sat.vector(term) if s is None else apply_symbol(self.sig, s, v)
+                    if len(universe) < max_terms:
+                        sat.vectors[term] = w
+                        cid = sat.intern(term)
+                    else:  # a probe that adds nothing
+                        cid = sat.class_vecs.find(w)
+                if cid not in universe:
+                    if len(universe) >= max_terms:
+                        return list(universe.values()), True
+                    universe[cid] = term
+                    new.append(term)
+            level = ((sx.TApp(s, t), s, sat.vectors[t]) for t in new for s in syms)
+        return list(universe.values()), False
 
     def prop_rows(self, p: str, terms) -> np.ndarray:
         """Class vectors of the proposition's facts (elimination can carry

@@ -91,33 +91,42 @@ class VectorTable:
         for v in vectors:
             self.add(v)
 
-    def find(self, v: np.ndarray) -> int:
-        """Index of the first stored row that v matches, or -1."""
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"vector of shape {v.shape} in a table of dim {self.dim}")
-        c, cells = float((self._dir @ v).real) // self._width, self._cells
+    def find(self, v: np.ndarray, key: float | None = None) -> int:
+        """Index of the first stored row that v matches, or -1. The key, v's
+        bucketing projection, is computed unless the caller already has it."""
+        c, cells = (self._key(v) if key is None else key) // self._width, self._cells
         for i in sorted([*cells.get(c - 1, ()), *cells.get(c, ()), *cells.get(c + 1, ())]):
             d = (self._rows[i] - v).view(float)
             if d @ d <= self._bounds[i]:
                 return i
         return -1
 
-    def add(self, v: np.ndarray) -> int:
-        """Append v as the last row and return its index."""
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"vector of shape {v.shape} in a table of dim {self.dim}")
-        n = first = len(self.rows)
+    def add(self, v: np.ndarray, key: float | None = None) -> int:
+        """Append v as the last row and return its index; key as for find."""
+        key = self._key(v) if key is None else key
+        n = len(self.rows)
         if n == len(self._rows):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[n] = v
         self.rows = self._rows[:n + 1]
         scale = max(1.0, norm(v))
         self._bounds.append((self.tol * scale) ** 2)
-        if scale * self._unit > self._width:
-            self._width, self._cells, first = 2 * scale * self._unit, {}, 0
-        for i, p in enumerate((self.rows[first:] @ self._dir).real.tolist(), first):
-            self._cells.setdefault(p // self._width, []).append(i)
+        self._cells.setdefault(key // self._width, []).append(n)
+        if scale * self._unit > self._width:  # wider cells: re-bucket every row
+            self._width, self._cells = 2 * scale * self._unit, {}
+            for i, p in enumerate((self.rows @ self._dir).real.tolist()):
+                self._cells.setdefault(p // self._width, []).append(i)
         return n
+
+    def find_or_add(self, v: np.ndarray) -> tuple[int, bool]:
+        """(find(v), False) if v matches a row, else (add(v), True), with one key."""
+        i = self.find(v, key := self._key(v))
+        return (i, False) if i >= 0 else (self.add(v, key), True)
+
+    def _key(self, v: np.ndarray) -> float:
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"vector of shape {v.shape} in a table of dim {self.dim}")
+        return float((self._dir @ v).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +207,10 @@ def orthocomplement(s: Subspace) -> Subspace:
 
 def project(s: Subspace, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection of v onto s."""
-    v = vector(v)
+    return _project(s, vector(v))
+
+
+def _project(s: Subspace, v: np.ndarray) -> np.ndarray:
     if v.shape[0] != s.dim:
         raise DimensionMismatch(f"vector of dim {v.shape[0]}, subspace of dim {s.dim}")
     if s.rank == 0:
@@ -238,8 +250,13 @@ def apply_measurement(s: Subspace, w: np.ndarray, tol: float = DEFAULT_TOL) -> n
     Inputs (numerically) orthogonal to s map to the origin vector, which
     keeps the operation total.
     """
-    p = project(s, w)
-    if norm(p) <= tol * max(1.0, norm(w)):
+    if not (type(w) is np.ndarray and w.dtype == complex and w.shape == (s.dim,)):
+        w = vector(w)
+    r = norm(w)
+    if not math.isfinite(r):  # a non-finite entry, or an overflow: vector tells which
+        vector(w)
+    p = _project(s, w)
+    if norm(p) <= tol * max(1.0, r):
         return np.zeros(s.dim, dtype=complex)
     return p / np.sqrt(max(np.vdot(w, p).real, 0.0))
 

@@ -26,38 +26,8 @@ __all__ = ["InitialModel", "build_initial", "generate_universe"]
 
 def generate_universe(session: ProofSession, depth: int,
                       max_terms: int = 4096) -> tuple[list[sx.Term], bool]:
-    """Ground terms of the session's clause set closed under symbol application.
-
-    Every candidate is interned into the session's class table and kept only
-    when its class is new to the universe; returns the representative terms
-    and whether the cap truncated the closure.
-    """
-    universe: dict[int, sx.Term] = {}  # class id -> representative, in order
-
-    def fresh(term: sx.Term) -> bool:
-        cid = session.intern(term)
-        if cid in universe:
-            return False
-        universe[cid] = term
-        return True
-
-    seeds = [sx.Origin()] + [t for c in session.gamma for t in sx.sentence_terms(c)
-                             if sx.is_ground(t)]
-    frontier = [t for t in seeds if fresh(t)]
-    syms = sorted(session.sig.unitaries) + sorted(session.sig.measurements)
-    for _ in range(depth):
-        new: list[sx.Term] = []
-        for t in frontier:
-            for s in syms:
-                term = sx.TApp(s, t)
-                if fresh(term):
-                    new.append(term)
-                if len(universe) >= max_terms:
-                    return list(universe.values()), True
-        if not new:
-            break
-        frontier = new
-    return list(universe.values()), False
+    """The clause set's ground terms closed under symbol application, one per class."""
+    return session.universe(depth, max_terms)
 
 
 @dataclass(eq=False)

@@ -129,8 +129,7 @@ def orbit(model: QuantumModel, action: sx.Action, w: np.ndarray,
             step = successors(model, action, v, budget)
             complete = complete and step.complete
             for s in step.vectors:
-                if seen.find(s) < 0:
-                    seen.add(s)
+                seen.find_or_add(s)
         if len(seen.rows) == end or not complete:
             return list(seen.rows), rounds, complete
         start = end

@@ -2,7 +2,8 @@
 every stored row with one vectorized distance computation.
 
 Kept as it was, with its imports adapted and ``VectorTable`` renamed
-``ReferenceVectorTable``, as the reference for ``test_vector_table.py``.
+``ReferenceVectorTable``, as the reference for ``test_vector_table.py``;
+``find_or_add`` is its own ``find`` then ``add``.
 """
 
 from __future__ import annotations
@@ -46,3 +47,8 @@ class ReferenceVectorTable:
         self._bounds[n] = (self.tol * max(1.0, norm(v))) ** 2
         self.rows = self._rows[:n + 1]
         return n
+
+    def find_or_add(self, v: np.ndarray) -> tuple[int, bool]:
+        """(find(v), False) when v matches a stored row, else (add(v), True)."""
+        i = self.find(v)
+        return (i, False) if i >= 0 else (self.add(v), True)

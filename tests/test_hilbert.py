@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdql import hilbert as hl
-from hdql.errors import DimensionMismatch
+from hdql.errors import DimensionMismatch, HdqlError
 
 
 def sub_residual(a: hl.Subspace, b: hl.Subspace) -> float:
@@ -125,6 +125,45 @@ class TestMeasurement:
 
     def test_orthogonal_input_maps_to_origin(self):
         assert np.allclose(hl.apply_measurement(span(K0), K1), 0)
+
+    def test_non_finite_input_raises_as_vector_does(self):
+        s = span(K0)
+        for bad in (np.array([np.nan, 0], dtype=complex), np.array([1, np.inf], dtype=complex),
+                    np.array([complex(0, -np.inf), 1]), [np.nan, 0], [1, np.inf]):
+            with pytest.raises(HdqlError, match="non-finite"):
+                hl.apply_measurement(s, bad)
+        with pytest.raises(HdqlError, match="1-d and non-empty"):
+            hl.apply_measurement(s, np.zeros((2, 2), dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            hl.apply_measurement(s, hl.basis_state(3, 0))
+        # finite entries whose norm overflows are a state, as vector says; the
+        # infinite norm then sends it to the origin, as it always did
+        big = np.array([1e300, 1e300], dtype=complex)
+        with np.errstate(over="ignore"):
+            assert not hl.apply_measurement(s, big).any()
+
+    def test_rank_zero_and_vanishing_projections_give_the_origin(self):
+        rng = np.random.default_rng(31)
+        for dim in (1, 2, 5):
+            w = hl.random_state(dim, rng)
+            for s in (hl.zero_subspace(dim), hl.orthocomplement(hl.orthonormalize([w]))):
+                out = hl.apply_measurement(s, w)
+                assert out.dtype == complex and out.shape == (dim,) and not out.any()
+            assert not hl.apply_measurement(span(K0), K1 + 1e-12 * K0).any()
+
+    def test_arrays_and_lists_measure_bit_for_bit_as_project_then_renormalize(self):
+        rng = np.random.default_rng(32)
+        for dim in (1, 2, 3, 8):
+            for rank in range(dim + 1):
+                s = hl.random_subspace(dim, rng, rank=rank)
+                for _ in range(5):
+                    w = hl.random_state(dim, rng) * rng.uniform(0.1, 10.0)
+                    p = hl.project(s, w)
+                    want = (np.zeros(dim, dtype=complex)
+                            if hl.norm(p) <= hl.DEFAULT_TOL * max(1.0, hl.norm(w))
+                            else p / np.sqrt(max(np.vdot(w, p).real, 0.0)))
+                    assert np.array_equal(hl.apply_measurement(s, w), want)
+                    assert np.array_equal(hl.apply_measurement(s, list(w)), want)
 
 
 class TestIsUnitary:

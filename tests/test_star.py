@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_vector_table import ReferenceVectorTable
 
 from hdql import hilbert as hl
 from hdql import semantics as sm
@@ -139,6 +140,32 @@ def test_star_clauses_agree_with_brute_force_in_the_initial_model():
                 fails_seen += 1
             checked += 1
     assert star_clause_sets >= 50 and holds_seen >= 50 and fails_seen >= 50
+
+
+def test_orbit_states_are_those_of_find_then_add(monkeypatch):
+    """On the brute-force cases above, orbit gives the states it gave when
+    each fresh state cost a find and an add, bit for bit and in order, and
+    the brute-force orbit's states up to the tolerance."""
+    rng = np.random.default_rng(4343)
+    for _ in range(150):
+        theta = rng.uniform(0, 2 * np.pi)
+        sig = sg.SignatureInstance(
+            dim=2, unitaries={"h": hl.H, "x": hl.X},
+            measurements={"m": hl.orthonormalize([hl.basis_state(2, 0)])},
+            named_vectors={}, props=frozenset(), closed_props=frozenset())
+        model = sm.QuantumModel(sig, {})
+        body = random_action(rng, int(rng.integers(0, 3)))
+        w = hl.vector([np.cos(theta), np.sin(theta)])
+        states, rounds, closed = sm.orbit(model, body, w)
+        with monkeypatch.context() as m:
+            m.setattr(hl, "VectorTable", ReferenceVectorTable)
+            before = sm.orbit(model, body, w)
+        assert (rounds, closed) == before[1:] and closed
+        assert len(states) == len(before[0])
+        assert all(np.array_equal(a, b) for a, b in zip(states, before[0]))
+        brute = bf_successors(sig, AStar(body), w)
+        assert len(brute) == len(states)
+        assert all(any(_same(a, b) for b in brute) for a in states)
 
 
 def test_nested_star_without_inner_closure_stops_at_once():

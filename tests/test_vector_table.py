@@ -10,6 +10,7 @@ from test_initial_model import CLAUSES, random_qubit_sig
 
 from hdql import calculus
 from hdql import hilbert as hl
+from hdql.errors import DimensionMismatch
 from hdql.initial_model import build_initial
 from hdql.semantics import FiniteVectors, QuantumModel, region_member, sat_at
 from hdql.signature import SignatureInstance
@@ -112,6 +113,54 @@ class TestAgainstTheLinearScan:
             replay(dim, tol, stored, queries)
 
 
+class TestFindOrAdd:
+    """find_or_add projects once; it must answer as find, then add on a miss."""
+
+    @staticmethod
+    def assert_same_stream(dim, tol, stream):
+        one, two, ref = (hl.VectorTable(dim, tol), hl.VectorTable(dim, tol),
+                         ReferenceVectorTable(dim, tol))
+        for v in stream:
+            i = two.find(v)
+            want = (i, False) if i >= 0 else (two.add(v), True)
+            assert one.find_or_add(v) == want == ref.find_or_add(v)
+            assert all(one.find(q) == two.find(q) == ref.find(q) for q in stream[::7])
+        assert np.array_equal(one.rows, ref.rows) and np.array_equal(two.rows, ref.rows)
+        return one
+
+    def test_near_duplicates_at_the_bound(self):
+        rng = np.random.default_rng(51)
+        for dim in (1, 2, 3, 8):
+            for tol in (1e-9, 1e-4, 0.3):
+                stream = []
+                for _ in range(10):
+                    e = hl.random_state(dim, rng) * rng.uniform(0.1, 10.0)
+                    bound = tol * max(1.0, hl.norm(e))
+                    stream += [e] + [e + f * bound * hl.random_state(dim, rng)
+                                     for f in (0.9, 1.1, 0.9, 1.1)]
+                stream = [stream[i] for i in rng.permutation(len(stream))]
+                table = self.assert_same_stream(dim, tol, stream)
+                assert 0 < len(table.rows) < len(stream)
+
+    def test_a_row_that_doubles_the_scale_rebuckets(self):
+        rng = np.random.default_rng(52)
+        dim, tol = 3, 1e-6
+        stream = [hl.random_state(dim, rng) for _ in range(6)]
+        stream += [hl.random_state(dim, rng) * 4.0, stream[2], stream[0] * (1 + 0.9 * tol)]
+        stream += [hl.random_state(dim, rng) * 1e5] + [v * (1 + 1.1 * tol) for v in stream]
+        table = hl.VectorTable(dim, tol)
+        widths = []
+        for v in stream:
+            table.find_or_add(v)
+            widths.append(table._width)
+        assert len(set(widths)) >= 3  # two rows widened the cells
+        self.assert_same_stream(dim, tol, stream)
+
+    def test_wrong_dimension_raises(self):
+        with pytest.raises(DimensionMismatch):
+            hl.VectorTable(2).find_or_add(hl.basis_state(3, 0))
+
+
 # ---------------------------------------------------------- initial models
 
 def bench_shaped(dim, rng):
@@ -173,15 +222,15 @@ class TestInitialModelsUnchanged:
         # scaling without a timing assert: the rows a lookup checks exactly
         # are at most those of the three cells it probes
         lookups, candidates = [0], [0]
-        find = hl.VectorTable.find
+        find_or_add = hl.VectorTable.find_or_add
 
-        def counting_find(self, v):
+        def counting_find_or_add(self, v):
             c = float((self._dir @ v).real) // self._width
             lookups[0] += 1
             candidates[0] += sum(len(self._cells.get(k, ())) for k in (c - 1, c, c + 1))
-            return find(self, v)
+            return find_or_add(self, v)
 
-        monkeypatch.setattr(hl.VectorTable, "find", counting_find)
+        monkeypatch.setattr(hl.VectorTable, "find_or_add", counting_find_or_add)
         sig, gamma = bench_shaped(8, np.random.default_rng(1))
         im = build_initial(sig, gamma, depth=8, max_terms=20000)
         assert len(im.term_universe) > 5000 and not im.truncated
