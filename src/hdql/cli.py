@@ -65,8 +65,10 @@ def run_check(spec: LoadedSpec, goal: tuple[sx.Term, sx.Sentence],
               flags: RunFlags = RunFlags()) -> CheckOutcome:
     """Prove one goal of a loaded problem; kernel-recheck before emission."""
     term, sentence = goal
-    session = ProofSession(spec.sig, spec.axioms, flags.search_budget())
-    result = session.prove(term, sentence)
+    try:
+        result = ProofSession(spec.sig, spec.axioms, flags.search_budget()).prove(term, sentence)
+    except HdqlError as e:  # a non-clause, or a state the frame refuses
+        return CheckOutcome(EXIT_DATA, f"cannot be checked: {e}")
     if result.status == "holds":
         verdict = check_proof(spec.sig, result.tree, flags.search_budget().star)
         if not verdict.ok:
@@ -143,6 +145,9 @@ def _run_initial(spec: LoadedSpec, flags: RunFlags, out) -> int:
             print(f"goal {i}: not decidable here: {e}", file=out)
             unknown = True
             continue
+        except HdqlError as e:  # e.g. a goal term whose state the frame refuses
+            print(f"goal {i}: cannot be evaluated: {e}", file=out)
+            return EXIT_DATA
         print(f"goal {i}: satisfied in the initial model: "
               f"{str(verdict).lower()}", file=out)
         failed = failed or not verdict
@@ -270,8 +275,8 @@ def _run(args: argparse.Namespace, out) -> int:
         for i, goal in enumerate(goals, start=1):
             outcome = run_check(spec, goal, flags)
             print(f"goal {i}: {outcome.message}", file=out)
-            if outcome.exit_code == EXIT_INTERNAL:
-                return EXIT_INTERNAL
+            if outcome.exit_code in (EXIT_DATA, EXIT_INTERNAL):
+                return outcome.exit_code
             failed = failed or outcome.exit_code == EXIT_FAILS
             unknown = unknown or outcome.exit_code == EXIT_UNKNOWN
             if outcome.trace is not None and args.trace:

@@ -28,12 +28,14 @@ __all__ = [
 
 
 def vector(coords) -> np.ndarray:
-    """Build a 1-d complex state vector, rejecting NaN/Inf entries."""
+    """Build a 1-d complex state vector, rejecting NaN/Inf entries and a norm that overflows."""
     v = np.atleast_1d(np.asarray(coords, dtype=complex))
     if v.ndim != 1 or v.size < 1:
         raise HdqlError(f"state vector must be 1-d and non-empty, got shape {v.shape}")
-    if not np.all(np.isfinite(v.view(float))):
-        raise HdqlError("state vector has non-finite entries")
+    if not math.isfinite(np.vdot(v, v).real):  # |v|^2: past the largest float once |v| > 1.3e154
+        if not np.all(np.isfinite(v.view(float))):
+            raise HdqlError("state vector has non-finite entries")
+        raise HdqlError("state vector's norm overflows")
     return v
 
 
@@ -253,8 +255,8 @@ def apply_measurement(s: Subspace, w: np.ndarray, tol: float = DEFAULT_TOL) -> n
     if not (type(w) is np.ndarray and w.dtype == complex and w.shape == (s.dim,)):
         w = vector(w)
     r = norm(w)
-    if not math.isfinite(r):  # a non-finite entry, or an overflow: vector tells which
-        vector(w)
+    if not math.isfinite(r) and not np.all(np.isfinite(w.view(float))):
+        raise HdqlError("state vector has non-finite entries")
     p = _project(s, w)
     if norm(p) <= tol * max(1.0, r):
         return np.zeros(s.dim, dtype=complex)

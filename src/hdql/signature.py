@@ -63,7 +63,7 @@ def validate(sig: SignatureInstance) -> list[Violation]:
             out.append(Violation(name, "operator shape does not match the space", 0.0))
             continue
         r = hl.unitarity_residual(u)
-        if r > sig.tol:
+        if not r <= sig.tol:  # a nan residual fails too
             out.append(Violation(name, "not unitary on max-norm check", r))
     for name, s in sig.measurements.items():
         if s.dim != sig.dim:
@@ -74,13 +74,13 @@ def validate(sig: SignatureInstance) -> list[Violation]:
         if s.rank:
             gram = s.basis.conj() @ s.basis.T
             r = float(np.max(np.abs(gram - np.eye(s.rank))))
-            if r > sig.tol:
+            if not r <= sig.tol:
                 out.append(Violation(name, "basis not orthonormal", r))
     for name, v in sig.named_vectors.items():
         if v.shape != (sig.dim,):
             out.append(Violation(name, "named vector dim mismatch", 0.0))
-        elif not np.all(np.isfinite(v.view(float))):
-            out.append(Violation(name, "named vector has non-finite entries", np.inf))
+        elif not np.isfinite(np.vdot(v, v)):  # as hl.vector reads it
+            out.append(Violation(name, "named vector has non-finite entries or norm", np.inf))
     for extra in sig.closed_props - sig.props:
         out.append(Violation(extra, "closed proposition not declared in props", 0.0))
     return out
@@ -107,10 +107,10 @@ def eval_term(sig: SignatureInstance, k: sx.Term) -> np.ndarray:
             raise DimensionMismatch(
                 f"literal of dim {v.shape[0]} in space of dim {sig.dim}")
         return v
-    if isinstance(k, sx.TSum):
-        return eval_term(sig, k.left) + eval_term(sig, k.right)
+    if isinstance(k, sx.TSum):  # a sum or multiple can overflow: vector refuses it
+        return hl.vector(eval_term(sig, k.left) + eval_term(sig, k.right))
     if isinstance(k, sx.TSmul):
-        return k.scalar * eval_term(sig, k.arg)
+        return hl.vector(k.scalar * eval_term(sig, k.arg))
     if isinstance(k, sx.TApp):
         return apply_symbol(sig, k.sym, eval_term(sig, k.arg))
     raise TypeError(f"not a term: {k!r}")

@@ -2,7 +2,7 @@
 
 A problem file is a sequence of keyword sections::
 
-    SPACE 8                       # space dimension, required first
+    SPACE 8                       # space dimension; sections in any order
     VECTORS                       # named states
       w0 = (0.6, 0, 0, 0.8)      # complex coordinates, a+bi literals
     UNITARY                       # gates: tensor expression or matrix
@@ -32,6 +32,7 @@ indented JSON is still read.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -78,12 +79,6 @@ class LoadedSpec:
     valuation: dict[str, Region] | None = None
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[:line.index("#")]
-    return line.strip()
-
-
 _BRACKET = re.compile(r"[][(){}]")
 
 
@@ -106,34 +101,42 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _numbers(parts: list[str], where: str, errors: list[str]) -> list[complex] | None:
+    """The finite complex literals of a comma-split list; None after a located error."""
+    try:
+        nums = [sx.parse_complex(p.strip()) for p in parts]
+    except HdqlError as e:
+        errors.append(f"{where}: {e}")
+        return None
+    bad = [p.strip() for p, c in zip(parts, nums) if not cmath.isfinite(c)]
+    if bad:
+        errors.append(f"{where}: number {bad[0]} is not finite")
+    return None if bad else nums
+
+
 def _parse_coords(text: str, where: str, errors: list[str]) -> np.ndarray | None:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         errors.append(f"{where}: expected a parenthesized coordinate list")
         return None
+    coords = _numbers(_split_top(text[1:-1], ","), where, errors)
     try:
-        coords = [sx.parse_complex(c.strip())
-                  for c in _split_top(text[1:-1], ",")]
-    except (ParseError, HdqlError) as e:
+        return None if coords is None else hl.vector(coords)
+    except HdqlError as e:  # finite coordinates whose norm overflows
         errors.append(f"{where}: {e}")
         return None
-    return hl.vector(coords)
 
 
 def _parse_matrix(text: str, where: str, errors: list[str]) -> np.ndarray | None:
-    body = text.strip()[1:-1]
-    rows = []
-    try:
-        for row in body.split(";"):
-            rows.append([sx.parse_complex(c.strip()) for c in row.split(",")])
-    except (ParseError, HdqlError) as e:
-        errors.append(f"{where}: {e}")
+    rows = [row.split(",") for row in text.strip()[1:-1].split(";")]
+    entries = _numbers([c for row in rows for c in row], where, errors)
+    if entries is None:
         return None
     lengths = {len(r) for r in rows}
     if len(lengths) != 1 or len(rows) != lengths.pop():
         errors.append(f"{where}: matrix is not square")
         return None
-    return np.array(rows, dtype=complex)
+    return np.array(entries, dtype=complex).reshape(len(rows), len(rows))
 
 
 def _parse_gate_expr(text: str, where: str, errors: list[str], dim: int) -> np.ndarray | None:
@@ -161,27 +164,29 @@ def _parse_gate_expr(text: str, where: str, errors: list[str], dim: int) -> np.n
                                            else hl.identity(n) for f, n in zip(factors, sizes)])
 
 
-def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
-    """Parse and validate a problem file given as text.
+def _braced(text: str, where: str, errors: list[str], noun: str) -> list[str] | None:
+    """The items of a braced list '{ a, b, ... }'; None after a located error."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        errors.append(f"{where}: expected a braced {noun} list")
+        return None
+    return [i.strip() for i in _split_top(text[1:-1], ",") if i.strip()]
 
-    Raises SpecLoadError carrying every located problem at once.
+
+def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
+    """Parse and validate a problem file given as text: one pass files each
+    content line under its section, then the sections are read in dependency
+    order. Raises SpecLoadError carrying every located problem at once.
     """
     errors: list[str] = []
     dim: int | None = None
-    vectors: dict[str, np.ndarray] = {}
-    unitaries: dict[str, np.ndarray] = {}
-    measure_raw: dict[str, list] = {}
-    props: dict[str, bool] = {}
-    gate_lines: list[tuple[int, str, str]] = []
-    axiom_lines: list[tuple[int, str]] = []
-    goal_lines: list[tuple[int, str]] = []
-    valuation_lines: list[tuple[int, str]] = []
-
+    filed: dict[str, list[tuple[str, str]]] = {s: [] for s in _SECTIONS}  # (where, text)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
+        where = f"line {lineno}"
         head = line.split(None, 1)[0]
         if head in _SECTIONS:
             section = head
@@ -190,85 +195,73 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
                 try:
                     dim = int(rest)
                     if dim > MAX_SPACE:  # refused before any array of that size is made
-                        errors.append(f"line {lineno}: SPACE {dim} exceeds the limit {MAX_SPACE}")
+                        errors.append(f"{where}: SPACE {dim} exceeds the limit {MAX_SPACE}")
                 except ValueError:
-                    errors.append(f"line {lineno}: SPACE needs an integer dimension")
+                    errors.append(f"{where}: SPACE needs an integer dimension")
             elif head == "GOAL":
-                goal_lines.append((lineno, rest))
+                filed["GOAL"].append((where, rest))
             elif rest:
-                errors.append(f"line {lineno}: unexpected text after {head}")
-            continue
-        where = f"line {lineno}"
-        if section is None:
+                errors.append(f"{where}: unexpected text after {head}")
+        elif section is None:
             errors.append(f"{where}: content before any section "
                           "(missing SPACE header?)")
-        elif section == "VECTORS":
-            name, _, rhs = line.partition("=")
-            v = _parse_coords(rhs, where, errors)
-            if v is not None:
-                vectors[name.strip()] = v
-        elif section == "UNITARY":
-            gate_lines.append((lineno, *line.partition("=")[::2]))
-        elif section == "MEASURE":
-            name, _, rhs = line.partition("=")
-            rhs = rhs.strip()
-            if not (rhs.startswith("{") and rhs.endswith("}")):
-                errors.append(f"{where}: expected a braced basis list")
-            else:
-                items = [i.strip() for i in _split_top(rhs[1:-1], ",") if i.strip()]
-                measure_raw[name.strip()] = [(lineno, i) for i in items]
-        elif section == "PROPS":
-            parts = line.split()
-            if len(parts) == 1:
-                props[parts[0]] = False
-            elif len(parts) == 2 and parts[1] == "closed":
-                props[parts[0]] = True
-            else:
-                errors.append(f"{where}: expected 'name' or 'name closed'")
-        elif section == "AXIOMS":
-            axiom_lines.append((lineno, line))
-        elif section == "VALUATION":
-            valuation_lines.append((lineno, line))
-        else:
+        elif section in ("SPACE", "GOAL"):
             errors.append(f"{where}: stray content in section {section}")
+        else:
+            filed[section].append((where, line))
 
+    vectors: dict[str, np.ndarray] = {}
+    for where, line in filed["VECTORS"]:
+        name, _, rhs = line.partition("=")
+        v = _parse_coords(rhs, where, errors)
+        if v is not None:
+            vectors[name.strip()] = v
+    props: dict[str, bool] = {}  # name -> closed
+    for where, line in filed["PROPS"]:
+        parts = line.split()
+        if len(parts) == 1 or len(parts) == 2 and parts[1] == "closed":
+            props[parts[0]] = len(parts) == 2
+        else:
+            errors.append(f"{where}: expected 'name' or 'name closed'")
+    bases: dict[str, tuple[str, list[str]]] = {}  # of a measurement's last braced line
+    for where, line in filed["MEASURE"]:
+        name, _, rhs = line.partition("=")
+        items = _braced(rhs, where, errors, "basis")
+        if items is not None:
+            bases[name.strip()] = where, items
     if dim is None:
         errors.append("missing SPACE section with the space dimension")
-    if dim is None or dim > MAX_SPACE:
+    if dim is None or dim > MAX_SPACE:  # nothing further can be sized
         raise SpecLoadError(errors)
-    for lineno, name, rhs in gate_lines:  # sized against SPACE, wherever SPACE stands
-        m = _parse_gate_expr(rhs, f"line {lineno}", errors, dim)
+    unitaries: dict[str, np.ndarray] = {}
+    for where, line in filed["UNITARY"]:
+        name, _, rhs = line.partition("=")
+        m = _parse_gate_expr(rhs, where, errors, dim)
         if m is not None:
             unitaries[name.strip()] = m
 
-    def resolve_state(item: str, where: str) -> np.ndarray | None:
-        if item.startswith("("):
-            v = _parse_coords(item, where, errors)
-        else:
-            v = vectors.get(item)
-            if v is None:
+    def states(items: list[str], where: str) -> list[np.ndarray]:
+        """The states a braced list's items name or spell out, of the space's dimension."""
+        out = []
+        for item in items:
+            if item.startswith("("):
+                v = _parse_coords(item, where, errors)
+            elif (v := vectors.get(item)) is None:
                 errors.append(f"{where}: unknown vector name {item!r}")
-        if v is not None and v.shape[0] != dim:
-            errors.append(f"{where}: state of dim {v.shape[0]} in space of dim {dim}")
-            return None
-        return v
+            if v is not None and v.shape[0] != dim:
+                errors.append(f"{where}: state of dim {v.shape[0]} in space of dim {dim}")
+            elif v is not None:
+                out.append(v)
+        return out
 
     measurements: dict[str, Subspace] = {}
-    for name, items in measure_raw.items():
-        basis = []
-        for lineno, item in items:
-            v = resolve_state(item, f"line {lineno}")
-            if v is not None:
-                basis.append(v)
-        if basis:
-            sub = hl.orthonormalize(basis, dim=dim, tol=tolerance)
-            if sub.rank < len(basis):
-                errors.append(
-                    f"measurement {name}: basis has duplicate or linearly "
-                    f"dependent vectors ({len(basis)} given, rank {sub.rank})")
-            measurements[name] = sub
-        else:
-            measurements[name] = hl.zero_subspace(dim)
+    for name, (where, items) in bases.items():
+        basis = states(items, where)
+        sub = measurements[name] = hl.orthonormalize(basis, dim=dim, tol=tolerance)
+        if sub.rank < len(basis):
+            errors.append(
+                f"measurement {name}: basis has duplicate or linearly "
+                f"dependent vectors ({len(basis)} given, rank {sub.rank})")
 
     sig = SignatureInstance(
         dim=dim, unitaries=unitaries, measurements=measurements,
@@ -292,56 +285,54 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
             if type(n) is sx.VecLit and len(n.coords) != dim:
                 errors.append(f"{where}: vector literal of dim {len(n.coords)} "
                               f"in space of dim {dim}")
+            elif type(n) is sx.VecLit:
+                try:
+                    hl.vector(n.coords)
+                except HdqlError as e:
+                    errors.append(f"{where}: vector literal: {e}")
 
     axioms: list[sx.Sentence] = []
-    for lineno, line in axiom_lines:
+    for where, line in filed["AXIOMS"]:
         try:
             sentence = sx.parse_sentence(line)
         except ParseError as e:
-            errors.append(f"line {lineno}: {e}")
+            errors.append(f"{where}: {e}")
             continue
-        check_resolved(sentence, f"line {lineno}")
+        check_resolved(sentence, where)
         axioms.append(sentence)
 
     goals: list[tuple[sx.Term, sx.Sentence]] = []
-    for lineno, rest in goal_lines:
+    for where, rest in filed["GOAL"]:
         m = re.fullmatch(r"AT\s+(.*?)\s+PROVE\s+(.*)", rest)
         if not m:
-            errors.append(f"line {lineno}: GOAL must read 'GOAL AT <term> "
+            errors.append(f"{where}: GOAL must read 'GOAL AT <term> "
                           "PROVE <sentence>'")
             continue
         try:
             term = sx.parse_term(m.group(1))
             sentence = sx.parse_sentence(m.group(2))
         except ParseError as e:
-            errors.append(f"line {lineno}: {e}")
+            errors.append(f"{where}: {e}")
             continue
-        check_resolved(sx.At(term, sentence), f"line {lineno}")
+        check_resolved(sx.At(term, sentence), where)
         goals.append((term, sentence))
 
-    valuation: dict[str, Region] | None = None
-    if valuation_lines:
-        valuation = {}
-        for lineno, line in valuation_lines:
-            where = f"line {lineno}"
-            name, eq, rhs = line.partition("=")
-            name, rhs = name.strip(), rhs.strip()
-            if not eq or name not in props:
-                errors.append(f"{where}: valuation of undeclared proposition")
-                continue
-            is_span = rhs.startswith("span")
-            if is_span:
-                rhs = rhs[4:].strip()
-            if not (rhs.startswith("{") and rhs.endswith("}")):
-                errors.append(f"{where}: expected a braced state list")
-                continue
-            states = [resolve_state(i.strip(), where)
-                      for i in _split_top(rhs[1:-1], ",") if i.strip()]
-            states = [s for s in states if s is not None]
-            if is_span or props[name]:
-                valuation[name] = hl.orthonormalize(states, dim=dim, tol=tolerance)
-            else:
-                valuation[name] = FiniteVectors(tuple(states))
+    valuation: dict[str, Region] | None = {} if filed["VALUATION"] else None
+    for where, line in filed["VALUATION"]:
+        name, eq, rhs = line.partition("=")
+        name, rhs = name.strip(), rhs.strip()
+        if not eq or name not in props:
+            errors.append(f"{where}: valuation of undeclared proposition")
+            continue
+        is_span = rhs.startswith("span")
+        items = _braced(rhs.removeprefix("span"), where, errors, "state")
+        if items is None:
+            continue
+        vs = states(items, where)
+        if is_span or props[name]:
+            valuation[name] = hl.orthonormalize(vs, dim=dim, tol=tolerance)
+        else:
+            valuation[name] = FiniteVectors(tuple(vs))
 
     if errors:
         raise SpecLoadError(errors)

@@ -493,3 +493,84 @@ class TestClosedOutput:
             os.close(write)
         assert result.returncode == 70
         assert result.stderr == b""
+
+
+OVERFLOW = """\
+SPACE 2
+VECTORS
+  v0 = (1, 0)
+  v1 = (0, 1)
+PROPS
+  p
+  r closed
+AXIOMS
+  {axiom}
+GOAL AT {goal}
+VALUATION
+  r = span {{ v0 }}
+"""
+# a state past the norm's overflow: 1e200*v1 is orthogonal to r's span, and
+# 1e200*v0 made every class-table bound infinite
+FAR_GOAL = OVERFLOW.format(axiom="@(v0) r", goal="1e200*v1 PROVE r")
+FAR_AXIOM = OVERFLOW.format(axiom="@(1e200*v0) p", goal="v1 PROVE p")
+
+
+class TestOutOfRangeData:
+    @pytest.mark.parametrize("text, message", [
+        ("VECTORS\n  v0 = (1e999, 0)\n", "line 3: number 1e999 is not finite"),
+        ("MEASURE\n  m = { (1e999, 0) }\n", "line 3: number 1e999 is not finite"),
+        ("AXIOMS\n  @(vec(1e999, 0)) p\n",
+         "line 3: vector literal: state vector has non-finite entries"),
+        ("UNITARY\n  g = [1e999, 0; 0, 1]\n", "line 3: number 1e999 is not finite"),
+    ], ids=["vector", "measure", "literal", "gate"])
+    def test_a_number_that_is_not_finite_exits_65_with_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.hdql"
+        path.write_text(f"SPACE 2\n{text}PROPS\n  p\nGOAL AT 0 PROVE p\n")
+        for command in ("check", "initial"):
+            code, output = run([command, str(path)])
+            assert (code, output) == (65, message + "\n")
+
+    @pytest.mark.parametrize("text, command, message", [
+        (FAR_GOAL, "check", "goal 1: cannot be checked: state vector's norm overflows\n"),
+        (FAR_GOAL, "initial", "goal 1: cannot be evaluated: state vector's norm overflows\n"),
+        (FAR_AXIOM, "check", "goal 1: cannot be checked: state vector's norm overflows\n"),
+        (FAR_AXIOM, "initial", "cannot build the initial model: state vector's norm overflows\n"),
+    ], ids=["goal-check", "goal-initial", "axiom-check", "axiom-initial"])
+    def test_a_state_whose_norm_overflows_exits_65(self, tmp_path, text, command, message):
+        path = tmp_path / "far.hdql"
+        path.write_text(text)
+        depth = ["--depth", "1"] if command == "initial" else []
+        code, output = run([command, str(path)] + depth)
+        assert code == 65 and output.endswith(message), output
+
+    def test_eval_at_a_state_whose_norm_overflows_exits_65(self, tmp_path):
+        path = tmp_path / "far.hdql"
+        path.write_text(FAR_GOAL)
+        code, output = run(["eval", str(path), "--at", "1e200*v1", "--sentence", "r"])
+        assert (code, output) == (65, "cannot evaluate: state vector's norm overflows\n")
+
+    def test_a_forged_span_closure_at_such_a_state_is_rejected(self, tmp_path):
+        from hdql.calculus import check_proof
+        from hdql.specfile import deserialize_trace, load_spec_text
+        path, trace = tmp_path / "far.hdql", tmp_path / "forged.trace"
+        path.write_text(FAR_GOAL)
+        trace.write_text("HDQL-TRACE 1\ngamma 1\n  @(v0) r\nproof\nSpanClosure | 1e200*v1 | r\n")
+        code, output = run(["recheck", str(path), str(trace)])
+        assert code == 1 and output.startswith("trace rejected"), output
+        _, tree = deserialize_trace(trace.read_text())
+        verdict = check_proof(load_spec_text(FAR_GOAL).sig, tree)
+        assert not verdict.ok and "norm overflows" in verdict.reason
+
+    @pytest.mark.parametrize("axiom, goal", [("!p", "v0 PROVE p"), ("@(v0) p", "v0 PROVE !p")],
+                             ids=["axiom", "goal"])
+    def test_check_exits_65_for_what_is_no_quantum_clause(self, tmp_path, axiom, goal):
+        path = tmp_path / "neg.hdql"
+        path.write_text(OVERFLOW.format(axiom=axiom, goal=goal))
+        code, output = run(["check", str(path)])
+        assert (code, output) == (65, "goal 1: cannot be checked: not a quantum clause: !p\n")
+
+    def test_initial_still_evaluates_a_goal_that_is_no_quantum_clause(self, tmp_path):
+        path = tmp_path / "neg.hdql"
+        path.write_text(OVERFLOW.format(axiom="@(v0) p", goal="v0 PROVE !p"))
+        code, output = run(["initial", str(path), "--depth", "1"])
+        assert code == 1 and output.endswith("goal 1: satisfied in the initial model: false\n")

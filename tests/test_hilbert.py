@@ -302,3 +302,20 @@ class TestVectorTable:
             table.find(hl.basis_state(3, 0))
         with pytest.raises(DimensionMismatch):
             table.add(hl.basis_state(3, 0))
+
+
+class TestVectorRange:
+    def test_a_norm_that_overflows_is_refused(self):
+        for coords in ([1e200, 0], [1e155, 1e155], [0, 1e154 + 1e154j]):
+            with pytest.raises(HdqlError, match="state vector's norm overflows"):
+                hl.vector(coords)
+        with pytest.raises(HdqlError):  # so member cannot read inf <= inf
+            hl.member(span(K0), np.array([0, 1e200], dtype=complex))
+
+    def test_non_finite_entries_keep_their_message(self):
+        for coords in ([np.inf, 0], [np.nan, 1e200], [complex(0, -np.inf)]):
+            with pytest.raises(HdqlError, match="state vector has non-finite entries"):
+                hl.vector(coords)
+
+    def test_a_norm_just_below_the_overflow_is_a_state(self):
+        assert np.isfinite(hl.norm(hl.vector([1e153, 1e153j])))

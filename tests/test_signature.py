@@ -6,7 +6,7 @@ import pytest
 from hdql import hilbert as hl
 from hdql import signature as sg
 from hdql import syntax as sx
-from hdql.errors import MorphismError, SymbolError
+from hdql.errors import HdqlError, MorphismError, SymbolError
 from hdql.syntax import Name, Nec, Prop, TApp, parse_term
 
 
@@ -186,3 +186,37 @@ class TestMorphism:
             k = parse_term(text)
             got = sg.eval_term(target, sg.apply_morphism(chi, k))
             assert np.allclose(got, sg.eval_term(sig, k))
+
+
+class TestOutOfRange:
+    def test_a_gate_or_basis_with_non_finite_entries_is_a_violation(self):
+        # their residuals read nan, which no comparison with the tolerance passes
+        gate = np.array([[np.inf, 0], [0, 1]], dtype=complex)
+        basis = hl.Subspace(2, np.array([[np.nan, 0]], dtype=complex))
+        with np.errstate(invalid="ignore"):
+            got = sg.validate(small_sig(unitaries={"g": gate}, measurements={"m": basis}))
+        assert [(v.symbol, v.check) for v in got] == [
+            ("g", "not unitary on max-norm check"), ("m", "basis not orthonormal")]
+
+    def test_a_gate_whose_products_cancel_to_nan_is_not_unitary(self):
+        gate = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            [v] = sg.validate(small_sig(unitaries={"g": gate}))
+        assert v.check == "not unitary on max-norm check"
+
+    def test_a_named_vector_whose_norm_overflows_is_a_violation(self):
+        got = sg.validate(small_sig(named_vectors={"v0": np.array([1e200, 0], dtype=complex),
+                                                   "v1": np.array([np.nan, 0], dtype=complex)}))
+        assert [(v.symbol, v.check) for v in got] == [
+            ("v0", "named vector has non-finite entries or norm"),
+            ("v1", "named vector has non-finite entries or norm")]
+
+    @pytest.mark.parametrize("text", ["1e200*v1", "1e154*v0 + 1e154*v1", "vec(1e200, 0)",
+                                      "h(1e200*v0)", "0*(1e200*v0)"])
+    def test_a_state_whose_norm_overflows_is_refused(self, text):
+        with pytest.raises(HdqlError, match="norm overflows"):
+            sg.eval_term(small_sig(), parse_term(text))
+
+    def test_a_norm_just_below_the_overflow_evaluates(self):
+        v = sg.eval_term(small_sig(), parse_term("1e153*v0 + 1e153*v1"))
+        assert np.isfinite(hl.norm(v))

@@ -282,3 +282,29 @@ class TestTraceCodec:
     def test_malformed_json_traces_raise_hdql_errors(self, doc):
         with pytest.raises(HdqlError):
             trace_from_json(doc)
+
+
+class TestOutOfRangeNumbers:
+    """A number that is not finite, or a state whose norm overflows, is a
+    located load error, wherever it stands."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("VECTORS\n  v = (1e999, 0)\n", "line 3: number 1e999 is not finite"),
+        ("VECTORS\n  v = (0, -1e400i)\n", "line 3: number -1e400i is not finite"),
+        ("VECTORS\n  v = (1e200, 0)\n", "line 3: state vector's norm overflows"),
+        ("MEASURE\n  m = { (1e999, 0) }\n", "line 3: number 1e999 is not finite"),
+        ("MEASURE\n  m = { (1e155, 1e155) }\n", "line 3: state vector's norm overflows"),
+        ("UNITARY\n  g = [1e999, 0; 0, 1]\n", "line 3: number 1e999 is not finite"),
+        ("UNITARY\n  g = [1, 0; 0, 1e999i]\n", "line 3: number 1e999i is not finite"),
+        ("AXIOMS\n  @(vec(1e999, 0)) p\n",
+         "line 3: vector literal: state vector has non-finite entries"),
+        ("AXIOMS\n  @(vec(1e200, 0)) p\n",
+         "line 3: vector literal: state vector's norm overflows"),
+        ("GOAL AT vec(0, 1e999) PROVE p\n",
+         "line 2: vector literal: state vector has non-finite entries"),
+        ("VALUATION\n  p = { (1e200, 0) }\n", "line 3: state vector's norm overflows"),
+    ])
+    def test_each_is_refused_with_its_line(self, text, error):
+        with pytest.raises(SpecLoadError) as e:
+            load_spec_text(f"SPACE 2\n{text}PROPS\n  p\n")
+        assert e.value.errors == [error]
