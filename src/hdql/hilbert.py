@@ -269,6 +269,7 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return u.ndim == 2 and u.shape[0] == u.shape[1] and unitarity_residual(u) <= tol
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge entries give inf or nan, no warning
 def unitarity_residual(u: np.ndarray) -> float:
     """Max-norm distance of u†u and uu† from the identity."""
     u = np.asarray(u, dtype=complex)

@@ -25,9 +25,9 @@ start a line. Proof traces serialize to a line-oriented indented tree, one
 node per line (``rule | term | sentence`` with an optional certificate
 suffix), or to a JSON mirror of the same fields; both round-trip exactly.
 Both formats are thin layers over one walk of pre-order node records, and
-one decoder rebuilds the tree from them, reading each distinct text once and
-sharing equal subtrees. JSON traces are written compact on one line;
-indented JSON is still read.
+one decoder rebuilds the tree from them, sharing equal subtrees and reading
+each distinct term, action and sentence text once, sub-sentences included.
+JSON traces are written compact on one line; indented JSON is still read.
 """
 
 from __future__ import annotations
@@ -80,25 +80,28 @@ class LoadedSpec:
 
 
 _BRACKET = re.compile(r"[][(){}]")
+_ROUND = str.maketrans("[]{}", "()()")
+
+
+def _top(text: str, mark: str, start: int = 0) -> int:
+    """The first index of ``mark`` in text[start:] outside parentheses, or -1;
+    a ')' found there closes a '(' opened before start."""
+    depth = 0
+    while (j := text.find(mark, start)) >= 0:
+        if (depth := depth + text.count("(", start, j) - text.count(")", start, j)) == 0:
+            return j
+        depth, start = depth - (mark == ")"), j + 1
+    return -1
 
 
 def _split_top(text: str, sep: str) -> list[str]:
     """Split on a separator, ignoring separators inside brackets."""
     if not _BRACKET.search(text):
         return text.split(sep)
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+    cuts, round_ = [-1], text.translate(_ROUND)
+    while (i := _top(round_, sep, cuts[-1] + 1)) >= 0:
+        cuts.append(i)
+    return [text[i + 1:j] for i, j in zip(cuts, cuts[1:] + [len(text)])]
 
 
 def _numbers(parts: list[str], where: str, errors: list[str]) -> list[complex] | None:
@@ -196,6 +199,8 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
                     dim = int(rest)
                     if dim > MAX_SPACE:  # refused before any array of that size is made
                         errors.append(f"{where}: SPACE {dim} exceeds the limit {MAX_SPACE}")
+                    elif dim < 1:
+                        errors.append(f"{where}: SPACE {dim} is not positive")
                 except ValueError:
                     errors.append(f"{where}: SPACE needs an integer dimension")
             elif head == "GOAL":
@@ -231,7 +236,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
             bases[name.strip()] = where, items
     if dim is None:
         errors.append("missing SPACE section with the space dimension")
-    if dim is None or dim > MAX_SPACE:  # nothing further can be sized
+    if dim is None or not 1 <= dim <= MAX_SPACE:  # nothing further can be sized
         raise SpecLoadError(errors)
     unitaries: dict[str, np.ndarray] = {}
     for where, line in filed["UNITARY"]:
@@ -399,28 +404,72 @@ def trace_to_json(gamma, tree: ProofTree) -> str:
 
 _RULES_BY_NAME = {r.value: r for r in RuleId}
 _CERT_SUFFIX = re.compile(r"(.*) \[n=(\d+)\]")
-_APPLICATION = re.compile(r"([A-Za-z_][\w']*)\((.*)\)", re.ASCII)
+_APPLICATION = re.compile(r"([A-Za-z_][\w']*)\(", re.ASCII)  # the 'f(' of f(t)
+_PREFIX = re.compile(r"@\(|[\[<!~]")  # the printer's prefix forms, each over an operand
+_PREFIXES = {"[": (sx.Nec, "]"), "<": (sx.Pos, ">"), "@(": (sx.At, ")"),  # class, closer
+             "!": (sx.Not, None), "~": (sx.QNot, None)}
+_OPERANDS = {sx.Nec, sx.Pos, sx.At, sx.Not, sx.QNot, sx.Prop, sx.Here, sx.UntilS}  # binding 4
+_MAX_PEEL = 64  # steps per text, each storing a rest: memory linear in the text
+
+
+def _read(table: dict, step, parse, text: str):
+    """A text's AST: ``step`` peels (build, rest) off it, at most _MAX_PEEL times,
+    until the rest is in ``table`` or read by ``parse``; then ``build`` makes each
+    text's AST, stored, from its rest's. '#' or an unread piece: parse it whole."""
+    if (value := table.get(text)) is not None:
+        return value
+    pending, rest = [], text
+    try:
+        while ((value := table.get(rest)) is None and "#" not in text
+               and len(pending) < _MAX_PEEL and (s := step(rest))):
+            pending.append((rest, s[0]))
+            rest = s[1]
+        value = table[rest] = parse(rest) if value is None else value
+        for rest, build in reversed(pending):
+            value = table[rest] = build(value)
+    except (ParseError, RecursionError):
+        value = table[text] = parse(text)
+    return value
 
 
 def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     """Rebuild (clause set, proof tree) from pre-order records.
 
-    Each distinct text is read once per decode. A term text f(t) with no
-    comment, f an ASCII name but vec and t read before as a term, is f over
-    t's term: t's brackets balance, so the final ')' closes f's '('. Equal
-    subtrees are shared: a row with an earlier one's texts, certificate and
-    premise objects, over an equal clause set, is that row's node, so the
-    kernel checks each distinct subproof once and evaluates each term once.
+    Each distinct term, action and sentence text is read once, over the parts of
+    the printer's forms, so equal sub-texts are one AST object: f(t) (f not vec)
+    over t; [A] S, <A> S, @(t) S, !S, ~S over S if S binds as tight as they do;
+    an action at its last '|', else its first ';'. A row with an earlier one's
+    texts, certificate and premise objects, over an equal clause set, is that
+    row's node, so the kernel checks each distinct subproof once.
     """
-    sentence, terms = functools.cache(sx.parse_sentence), {}  # terms: text -> term
+    def term_step(text):  # f(t), f not vec, with t read before or its '(' closed at the end
+        m = _APPLICATION.match(text)
+        if m and m[1] != "vec" and text[-1] == ")" and (
+                text[m.end():-1] in terms or _top(text, ")", m.end()) == len(text) - 1):
+            return (lambda t: sx.TApp(m[1], t)), text[m.end():-1]
 
-    def term(text: str) -> sx.Term:
-        if (t := terms.get(text)) is None:
-            m = _APPLICATION.fullmatch(text)
-            arg = terms.get(m[2]) if m and m[1] != "vec" and "#" not in text else None
-            t = terms[text] = sx.parse_term(text) if arg is None else sx.TApp(m[1], arg)
-        return t
+    def action_step(text):  # '|' groups left: its last one; ';' groups right: its first
+        *bars, right = _split_top(text, "|")
+        if bars:
+            return (lambda a: sx.AUnion(a, action(right.strip(" ")))), \
+                text[:-len(right) - 1].strip(" ")
+        if (i := _top(text, ";")) >= 0:
+            return (lambda a: sx.AComp(action(text[:i].strip(" ")), a)), text[i + 1:].strip(" ")
 
+    def sentence_step(text):
+        if m := _PREFIX.match(text):
+            cls, closer = _PREFIXES[m[0]]
+            end = m.end() - 1 if closer is None else _top(text, closer, m.end())
+            if end >= 0:
+                args = ((term if cls is sx.At else action)(text[m.end():end]),) if closer else ()
+                return (lambda s: cls(*args, s) if type(s) in _OPERANDS
+                        else sx.parse_sentence(text)), text[end + 1:].lstrip(" ")
+
+    terms, sentences = {}, {}  # text -> AST, looked up here first on the rows' hot path
+    term = functools.partial(_read, terms, term_step, sx.parse_term)
+    action = functools.partial(_read, {}, action_step, lambda t: sx.ASym(t)
+                               if t.isascii() and t.isidentifier() else sx.parse_action(t))
+    sentence = functools.partial(_read, sentences, sentence_step, sx.parse_sentence)
     gamma = tuple(map(sentence, gamma_texts))
     roots, nodes = [], {}  # nodes: (row, premise objects) -> its latest node
     open_: list[tuple] = []  # per depth: (rule, texts, cert), conclusion, premises, child gamma
@@ -440,8 +489,8 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
         rule = _RULES_BY_NAME.get(rule_name)
         if rule is None:
             raise HdqlError(f"node {n}: unknown rule {rule_name!r}")
-        conclusion = Sequent(open_[-1][3] if open_ else gamma,
-                             term(term_text), sentence(goal_text))
+        conclusion = Sequent(open_[-1][3] if open_ else gamma, terms.get(term_text)
+                             or term(term_text), sentences.get(goal_text) or sentence(goal_text))
         open_.append(((rule, term_text, goal_text, cert), conclusion, [],
                       conclusion.gamma + premise_hypotheses(rule, conclusion)))
     while open_:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from conftest import teleport_spec_text
@@ -529,6 +530,23 @@ class TestOutOfRangeData:
         for command in ("check", "initial"):
             code, output = run([command, str(path)])
             assert (code, output) == (65, message + "\n")
+
+    @pytest.mark.parametrize("command", ["check", "initial"])
+    def test_a_gate_whose_products_overflow_is_not_unitary_without_warnings(
+            self, tmp_path, command):
+        path = tmp_path / "huge.hdql"
+        path.write_text("SPACE 2\nUNITARY\n  g = [1e200, 1e200; 1e200, -1e200]\n"
+                        "PROPS\n  p\nGOAL AT 0 PROVE p\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, output = run([command, str(path)])
+        assert (code, output) == (65, "validation: g: not unitary on max-norm check "
+                                      "(residual inf)\n")
+
+    def test_a_space_below_1_exits_65_with_its_line(self, tmp_path):
+        path = tmp_path / "neg.hdql"
+        path.write_text("SPACE -1\nMEASURE\n  m = { (1, 0) }\nPROPS\n  p\nGOAL AT 0 PROVE p\n")
+        assert run(["check", str(path)]) == (65, "line 1: SPACE -1 is not positive\n")
 
     @pytest.mark.parametrize("text, command, message", [
         (FAR_GOAL, "check", "goal 1: cannot be checked: state vector's norm overflows\n"),

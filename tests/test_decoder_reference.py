@@ -5,11 +5,12 @@ demos, files shaped like the benchmark's and the unrolled rotation traces,
 in both formats, both decoders must give equal clause sets, the same rule,
 conclusion and certificate at every place, byte-identical re-encodings and
 the same kernel verdict; seeded mutants of the text traces must get the
-same verdict, or the same error. Then the term reading against the parser,
-and the kernel's counts on decoded star traces."""
+same verdict, or the same error. Then the term and sentence reading against
+the parser, and the kernel's counts on decoded star traces."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,142 @@ class TestTermReading:
         ids=repr)
     def test_edge_cases(self, texts):
         assert_read_as_parsed(texts)
+
+    @pytest.mark.parametrize("texts", [["a", "f(ab"], ["a", "f(a)b"], ["a", "g(a) + h(a)"]],
+                             ids=repr)
+    def test_an_argument_read_before_is_taken_only_up_to_the_last_parenthesis(self, texts):
+        assert_read_as_parsed(texts)
+
+
+# --------------------------------------------------------- sentence reading
+
+def read_goals(texts):
+    """The goals the decoder reads for the texts, in order (premises of one
+    JSON node keep every text as written), or its error's text."""
+    doc = {"version": 1, "gamma": [], "proof": {
+        "rule": "ConjI", "term": "v0", "goal": "p", "certificate": None, "premises": [
+            {"rule": "Monotonicity", "term": "v0", "goal": text, "certificate": None,
+             "premises": []} for text in texts]}}
+    result = decode(json.dumps(doc))
+    return result if isinstance(result, str) else [p.conclusion.goal for p in result[1].premises]
+
+
+def parsed_sentences(texts):
+    """What sx.parse_sentence gives for the texts, or the first error's text."""
+    try:
+        return [sx.parse_sentence(text) for text in texts]
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def node_types(node):
+    return [type(n) for n in sx.walk(node)]
+
+
+def assert_goals_read_as_parsed(texts):
+    got, want = read_goals(texts), parsed_sentences(texts)
+    assert got == want
+    if not isinstance(want, str):
+        assert [node_types(s) for s in got] == [node_types(s) for s in want]
+
+
+def mutant(text, rng):
+    """The text with one character deleted, inserted or replaced."""
+    i = int(rng.integers(len(text) + 1))
+    c = str(rng.choice(list("()[]<>@!~;|*,. #\tpa0")))
+    kind = rng.integers(3)
+    return text[:i] + (c if kind else "") + text[i + (kind != 1):]
+
+
+class TestSentenceReading:
+    def test_formatted_random_sentences_their_subsentences_and_mutants(self):
+        from gen import random_closed_sentence, random_mixed_sentence
+        rng = np.random.default_rng(2029)
+        closed, plain, unitary, measure = ["r", "s'"], ["p", "i"], ["u0", "g", "store"], ["m0"]
+        prefixed = mutants = 0
+        for n in range(400):
+            if n % 2:
+                s = random_mixed_sentence(rng, int(rng.integers(1, 7)), closed, plain,
+                                          unitary, measure)
+            else:
+                s = random_closed_sentence(rng, int(rng.integers(1, 7)), closed, unitary)
+            texts = [sx.format_sentence(sub) for sub in sx.walk(s, sx.SENTENCE)]
+            for order in (texts, texts[::-1]):  # the outermost first, the innermost first
+                assert_goals_read_as_parsed(order)
+            assert read_goals(texts[::-1])[-1] == s
+            for _ in range(3):
+                texts.append(mutant(texts[0], rng))
+                assert_goals_read_as_parsed(texts[::-1])
+                mutants += isinstance(parsed_sentences(texts[-1:]), str)
+            prefixed += type(s) in (sx.Nec, sx.At, sx.Not, sx.QNot)
+        assert prefixed >= 100 and mutants >= 300
+
+    def test_decoded_goals_share_their_subsentences(self):
+        spec = load_spec(os.path.join(HERE, os.pardir, "demos", "teleport.hdql"))
+        tree = ProofSession(spec.sig, spec.axioms).prove(*spec.goals[0]).tree
+        for trace in (serialize_trace(tree.conclusion.gamma, tree),
+                      trace_to_json(tree.conclusion.gamma, tree)):
+            comps = [n for n in proof_nodes(decode(trace)[1]) if n.rule is calculus.RuleId.COMP_E]
+            assert len(comps) >= 8
+            for node in comps:  # [a ; b] S from [a] [b] S: each part is one object
+                goal, premise = node.conclusion.goal, node.premises[0].conclusion.goal
+                assert premise.action is goal.action.left
+                assert premise.body.action is goal.action.right
+                assert premise.body.body is goal.body
+
+    def test_the_parser_reads_only_the_leaves(self, monkeypatch):
+        goal = "[(a | b)* ; (c ; d)* | e] <f> ~!@(g(h(v0))) @(g(v0) + h(v1)) p"
+        texts = [goal, "[e] " + goal]
+        want, parsed = parsed_sentences(texts), []
+        for name in ("parse_sentence", "parse_action", "parse_term"):
+            parse = getattr(sx, name)
+            monkeypatch.setattr(sx, name, lambda text, parse=parse: parsed.append(text)
+                                or parse(text))
+        assert read_goals(texts) == want
+        assert sorted(parsed) == ["(a | b)*", "(c ; d)*", "g(v0) + h(v1)", "p", "v0"]
+
+    @pytest.mark.parametrize("texts", [
+        ["[a] p /\\ q"], ["p /\\ q", "[a] p /\\ q"], ["p", "[a] p /\\ q"],
+        ["[a] (p /\\ q)"], ["(p /\\ q)", "[a] (p /\\ q)"], ["p", "[a]p"], ["p", "[a]  p"],
+        ["[(a | b) ; c*] p"], ["[a | b ; c | d] p", "[a | b ; c] p", "[b ; c | d] p"],
+        ["[store] p"], ["[é] p"], ["[aé] p"], ["f(v0)", "@(f(v0)) p"], ["@(vec(1, 0)) p"],
+        ["@(v0 # c) p"], ["v0 # c", "@(v0 # c) p"], ["<a> p"], ["[a] p", "~[a] p"],
+        ["[a] store x . p"], ["store x . p", "[a] store x . p"], ["[a] until(b, p, q)"],
+        ["until(b, p, q)", "[a] until(b, p, q)"], ["[a] (p)"], ["[a] ((p))"],
+        ["store w0 . @(w0) p", "@(w0) p"], ["@(w0) p", "store w0 . @(w0) p"],
+        ["[a]"], ["[a] "], ["[a)] p"], ["[(a] p"], ["[a;] p"], ["[;a] p"], ["[a|] p"],
+        ["[|a] p"], ["<a => b> p"], ["@((v0) p"], ["@(v0)) p"], ["[a] p q"], ["!~p"],
+        ["p (+) q", "[a] p (+) q"], ["[a] (+) p"], ["[a] [b] p => q"], ["@(v0) here(v0)"],
+        ["@(2*v0 + v1) p"], ["@(f(v0) + g(v1)) [a*] !p"], ["[a]\tp"], ["[a]\x0cp"],
+        ["[a\u00b7] p"], ["[a\x0c; b] p"], ["[a |\x0cb] p"]],
+        ids=repr)
+    def test_edge_cases(self, texts):
+        assert_goals_read_as_parsed(texts)
+
+    def test_a_long_prefix_run_is_read_in_memory_linear_in_its_length(self):
+        goal = "!~" * 5000 + "p"
+        tracemalloc.start()
+        try:
+            (got,), peak = read_goals([goal]), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = sx.parse_sentence(goal)
+        assert sx.format_sentence(got) == goal and node_types(got) == node_types(want)
+        assert peak < 2 ** 23  # 8 MB: the 10,000 suffixes of the goal take 50 MB
+
+    def test_deep_prefix_chains_and_a_long_composition_in_one_row(self, tmp_path):
+        from test_cli import run
+        goal = "@(w0) " * 3000 + "[s0] " * 3000 + "[" + ";".join(["s1"] * 700) + "] p"
+        trace = f"HDQL-TRACE 1\ngamma 1\n  @(w0) p\nproof\nMonotonicity | w0 | {goal}\n"
+        got, want = decode(trace)[1].conclusion.goal, sx.parse_sentence(goal)
+        assert sx.format_sentence(got) == sx.format_sentence(want)
+        assert node_types(got) == node_types(want)
+        (tmp_path / "deep.hdql").write_text(
+            "SPACE 2\nVECTORS\n  w0 = (1, 0)\nUNITARY\n  s0 = [0, 1; 1, 0]\n"
+            "  s1 = [0, 1; 1, 0]\nPROPS\n  p\nAXIOMS\n  @(w0) p\nGOAL AT w0 PROVE p\n")
+        (tmp_path / "deep.trace").write_text(trace)
+        code, output = run(["recheck", str(tmp_path / "deep.hdql"), str(tmp_path / "deep.trace")])
+        assert code == 1 and output.startswith("trace rejected: the root @(w0) @(w0) ")
 
 
 # ------------------------------------------------------------- kernel counts

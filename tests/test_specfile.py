@@ -131,6 +131,15 @@ class TestLoadSpec:
             load_spec_text(f"SPACE {MAX_SPACE + 1}\nPROPS\n  p\n")
         assert e.value.errors == [f"line 1: SPACE {MAX_SPACE + 1} exceeds the limit {MAX_SPACE}"]
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("section", ["MEASURE\n  m = { (1, 0) }\n",
+                                         "VALUATION\n  p = span { (1, 0) }\n"],
+                             ids=["measure", "span"])
+    def test_a_space_below_1_is_located_before_anything_is_sized(self, dim, section):
+        with pytest.raises(SpecLoadError) as e:
+            load_spec_text(f"SPACE {dim}\nPROPS\n  p\n{section}")
+        assert e.value.errors == [f"line 1: SPACE {dim} is not positive"]
+
     def test_valuation_section(self):
         spec = load_spec_text(teleport_spec_text(0.6, 0.8, with_valuation=True))
         model = valuation_model(spec)
