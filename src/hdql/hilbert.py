@@ -65,9 +65,9 @@ def norm(v: np.ndarray) -> float:
 
 
 def vec_eq(v: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Tolerance equality with v as the reference: |v - w| <= tol * max(1, |v|)."""
-    _same_dim(v, w)
-    return norm(v - w) <= tol * max(1.0, norm(v))
+    """Tolerance equality, v the reference: |v - w| <= tol * max(1, |v|); refuses as vector."""
+    _same_dim(vector(v), vector(w))
+    return math.sqrt(np.vdot(v - w, v - w).real) <= tol * max(1.0, norm(v))
 
 
 class VectorTable:

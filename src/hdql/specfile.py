@@ -25,8 +25,8 @@ start a line. Proof traces serialize to a line-oriented indented tree, one
 node per line (``rule | term | sentence`` with an optional certificate
 suffix), or to a JSON mirror of the same fields; both round-trip exactly.
 Both formats are thin layers over one walk of pre-order node records, and
-one decoder rebuilds the tree from them, sharing equal subtrees and reading
-each distinct term, action and sentence text once, sub-sentences included.
+one decoder rebuilds the tree from them, sharing equal subtrees; it reads each
+distinct text (sub-sentences too) and each repeated text-trace block once.
 JSON traces are written compact on one line; indented JSON is still read.
 """
 
@@ -38,6 +38,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -440,7 +441,9 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     over t; [A] S, <A> S, @(t) S, !S, ~S over S if S binds as tight as they do;
     an action at its last '|', else its first ';'. A row with an earlier one's
     texts, certificate and premise objects, over an equal clause set, is that
-    row's node, so the kernel checks each distinct subproof once.
+    row's node, so the kernel checks each distinct subproof once. A text trace's
+    block (a row and the deeper rows under it) whose lines equal an earlier block
+    with premises, over an equal clause set, is that block's tree, read only once.
     """
     def term_step(text):  # f(t), f not vec, with t read before or its '(' closed at the end
         m = _APPLICATION.match(text)
@@ -472,18 +475,36 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     sentence = functools.partial(_read, sentences, sentence_step, sx.parse_sentence)
     gamma = tuple(map(sentence, gamma_texts))
     roots, nodes = [], {}  # nodes: (row, premise objects) -> its latest node
-    open_: list[tuple] = []  # per depth: (rule, texts, cert), conclusion, premises, child gamma
+    rows, blocks = getattr(records, "rows", None), {}  # blocks: text -> depth, n, size, tree
+    open_: list[tuple] = []  # per depth: row, conclusion, premises, their gamma, n, text
 
-    def close() -> None:
-        row, conclusion, premises, _ = open_.pop()
+    def close(end: int) -> None:  # end: the row after the node's block
+        row, conclusion, premises, _, start, first = open_.pop()
         tree = nodes.get(key := (row, tuple(premises)))
         if tree is None or tree.conclusion.gamma != conclusion.gamma:  # Imp's leaves differ
             tree = nodes[key] = ProofTree(conclusion, row[0], key[1], row[3])
+        if premises and rows:
+            blocks[first] = len(open_), start, end - start, tree
         (open_[-1][2] if open_ else roots).append(tree)
 
-    for n, (depth, rule_name, term_text, goal_text, cert) in enumerate(records):
+    numbered = enumerate(records if rows is None else rows)
+    for n, record in numbered:
+        if rows is None:
+            depth, rule_name, term_text, goal_text, cert = record
+        else:  # a text row's depth, then its text past the indent
+            depth = (len(record) - len(record := record.lstrip(" "))) // 2
         while len(open_) > depth:
-            close()
+            close(n)
+        if rows is not None:  # a text row: an earlier block's tree, or read here
+            d, start, size, tree = blocks.get(record, (0, 0, 0, None))
+            if (tree and 0 < d == depth == len(open_) and tree.conclusion.gamma == open_[-1][3]
+                    and rows[n + 1:n + size] == rows[start + 1:start + size]
+                    and (n + size == len(rows)  # the line after it is no deeper
+                         or not rows[n + size].startswith("  " * depth + "  "))):
+                open_[-1][2].append(tree)
+                next(islice(numbered, size - 1, size - 1), None)  # past the block's rows
+                continue
+            rule_name, term_text, goal_text, cert = _text_fields(record)
         if roots or depth != len(open_):
             raise HdqlError(f"node {n}: bad indent or a second root")
         rule = _RULES_BY_NAME.get(rule_name)
@@ -492,26 +513,35 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
         conclusion = Sequent(open_[-1][3] if open_ else gamma, terms.get(term_text)
                              or term(term_text), sentences.get(goal_text) or sentence(goal_text))
         open_.append(((rule, term_text, goal_text, cert), conclusion, [],
-                      conclusion.gamma + premise_hypotheses(rule, conclusion)))
+                      conclusion.gamma + premise_hypotheses(rule, conclusion), n, record))
     while open_:
-        close()
+        close(len(rows or ()))
     if not roots:
         raise HdqlError("the proof has no nodes")
     return gamma, roots[0]
 
 
-def _text_records(rows: list[str]):
-    for raw in rows:
-        fields = [f.strip() for f in raw.strip().split(" | ", 2)]
-        if len(fields) != 3:
-            raise HdqlError(f"bad node row {raw.strip()!r}")
-        m = _CERT_SUFFIX.fullmatch(fields[2])
-        goal, cert = (m.group(1), int(m.group(2))) if m else (fields[2], None)
-        yield (len(raw) - len(raw.lstrip(" "))) // 2, fields[0], fields[1], goal, cert
+def _text_fields(raw: str) -> tuple:  # a node row's record but its depth
+    fields = [f.strip() for f in raw.strip().split(" | ", 2)]
+    if len(fields) != 3:
+        raise HdqlError(f"bad node row {raw.strip()!r}")
+    m = _CERT_SUFFIX.fullmatch(fields[2])
+    goal, cert = (m.group(1), int(m.group(2))) if m else (fields[2], None)
+    return fields[0], fields[1], goal, cert
+
+
+@dataclass
+class _TextRows:
+    """A text trace's node rows; iterated, their records. _build reads the rows
+    itself, so that it passes over a reused block's rows unread."""
+    rows: list[str]
+
+    def __iter__(self):
+        return (((len(raw) - len(raw.lstrip(" "))) // 2, *_text_fields(raw)) for raw in self.rows)
 
 
 def deserialize_trace(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
-    """Rebuild (clause set, proof tree) from the line format."""
+    """Rebuild (clause set, proof tree) from the line format, each repeated block read once."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "HDQL-TRACE 1":
         raise HdqlError("not a version-1 trace")
@@ -522,7 +552,7 @@ def deserialize_trace(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     if len(lines) < 3 + n or lines[2 + n].strip() != "proof":
         raise HdqlError(f"gamma block of {n} clauses not followed by 'proof'")
     rows = [raw for raw in lines[3 + n:] if raw.strip()]
-    return _build([c.strip() for c in lines[2:2 + n]], _text_records(rows))
+    return _build([c.strip() for c in lines[2:2 + n]], _TextRows(rows))
 
 
 def _json_records(proof):
@@ -541,7 +571,7 @@ def _json_records(proof):
 
 
 def trace_from_json(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
-    """Rebuild (clause set, proof tree) from the JSON mirror, compact or indented."""
+    """Rebuild (clause set, proof tree) node by node from the JSON mirror, compact or indented."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:

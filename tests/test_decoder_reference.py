@@ -23,8 +23,8 @@ from hdql import signature as sg
 from hdql import syntax as sx
 from hdql.calculus import ProofSession, check_proof, proof_nodes
 from hdql.errors import BudgetExceeded, HdqlError, ParseError
-from hdql.specfile import (deserialize_trace, load_spec, serialize_trace, trace_from_json,
-                           trace_to_json)
+from hdql.specfile import (deserialize_trace, load_spec, load_spec_text, serialize_trace,
+                           trace_from_json, trace_to_json)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROTATION = os.path.join(HERE, os.pardir, "demos", "rotation.hdql")
@@ -479,3 +479,94 @@ class TestKernelCounts:
         assert all(len(c) == 1 for c in counts.values())  # the same for the three trees
         (a,), (b,), (c,) = counts[8], counts[16], counts[24]
         assert c - b == b - a and a <= 2 * 8
+
+
+# ------------------------------------------------------------- block reuse
+
+def reading(monkeypatch):
+    """The rows that the text decoder reads from now on, in order, past their indent."""
+    read, text_fields = [], specfile._text_fields
+    monkeypatch.setattr(specfile, "_text_fields", lambda raw: read.append(raw) or text_fields(raw))
+    return read
+
+
+def star_rows(order):
+    """(signature, header lines, node rows) of the [g*] r proof's text trace."""
+    sig, gamma, tree = star_proof(order)
+    return (sig, *rows_of(serialize_trace(gamma, tree)))
+
+
+def joined(head, rows):
+    return "\n".join(head + rows) + "\n"
+
+
+class TestBlockReuse:
+    def test_a_block_under_another_clause_set_is_read_again(self, monkeypatch):
+        spec = load_spec_text(
+            "SPACE 2\nVECTORS\n  v0 = (1, 0)\nPROPS\n  p\n  q\n  s\nAXIOMS\n  @(v0) q\n"
+            "GOAL AT v0 PROVE ((p => q /\\ q) /\\ (s => q /\\ q)) /\\ (p => q /\\ q)\n")
+        sig, gamma, tree = proofs(spec.sig, spec.axioms, spec.goals)[0]
+        trace = serialize_trace(gamma, tree)
+        inner = "ConjI | v0 | q /\\ q"  # under Imp p => q /\ q, then under Imp s => ...
+        assert trace.count("      " + inner + "\n") == 2
+        read = reading(monkeypatch)
+        _, back = decode(trace)
+        # both inner ConjI blocks and the outer one are read, the second RetE block of each not
+        assert read.count(inner) == 3 and len(read) == len(rows_of(trace)[1]) - 6
+        conj_p, conj_s = (imp.premises[0] for imp in back.premises[0].premises)
+        assert conj_s.conclusion.gamma == gamma + (sx.parse("@(v0) s"),)
+        assert conj_p.premises[0] is conj_p.premises[1]
+        assert conj_s.premises[0] is conj_s.premises[1] is not conj_p.premises[0]
+        _, verdict = assert_same_decodes(sig, trace)
+        assert verdict.ok
+
+    @pytest.mark.parametrize("extra", ["      RetE | v1 | r", "          Monotonicity | v1 | r"],
+                             ids=["a second premise", "a premise of its last row"])
+    def test_a_copy_that_goes_on_deeper_is_not_cut_short(self, extra):
+        sig, head, rows = star_rows(3)
+        assert rows[9] == rows[2] == "    Mult | 1*v1 | r" and rows[10:12] == rows[3:5]
+        trace = joined(head, rows[:12] + [extra] + rows[12:])
+        _, back = decode(trace)
+        first, second = back.premises[0].premises[0], back.premises[1].premises[0]
+        assert second is not first
+        assert len(list(proof_nodes(second))) == len(list(proof_nodes(first))) + 1
+        _, verdict = assert_same_decodes(sig, trace)
+        assert not verdict.ok
+
+    def test_a_repeated_block_can_end_the_trace(self, monkeypatch):
+        sig, head, rows = star_rows(3)
+        assert rows[-3:] == rows[5:8]
+        read = reading(monkeypatch)
+        _, back = decode(joined(head, rows))
+        assert len(read) == 10  # the root, the three SpanClosure rows, the first family
+        assert rows[-3].lstrip() not in read[8:]
+        assert back.premises[2].premises[1] is back.premises[0].premises[1]
+        _, verdict = assert_same_decodes(sig, joined(head, rows))
+        assert verdict.ok
+        # one line short, the last copy is not the earlier block: it is read
+        read.clear()
+        _, back = decode(joined(head, rows[:-1]))
+        assert read[-2:] == [row.lstrip() for row in rows[-3:-1]]
+        assert back.premises[2].premises[1] is not back.premises[0].premises[1]
+        assert_same_decodes(sig, joined(head, rows[:-1]))
+
+    @pytest.mark.parametrize("row, message", [
+        ("    Mul | 1*v0 | r", "node 12: unknown rule 'Mul'"),
+        ("StarI | v0 | [g*] r [n=2]", "node 12: bad indent or a second root"),
+        ("            Mult | 1*v0 | r", "node 12: bad indent or a second root"),
+        ("    Mult 1*v0 r", "bad node row 'Mult 1*v0 r'")], ids=repr)
+    def test_a_bad_row_after_a_reused_block_keeps_its_message(self, row, message):
+        sig, head, rows = star_rows(3)
+        assert rows[9:12] == rows[2:5] and rows[12] == "    Mult | 1*v0 | r"
+        trace = joined(head, rows[:12] + [row] + rows[13:])
+        assert decode(trace) == f"HdqlError: {message}"
+        assert_same_decodes(sig, trace)
+
+    def test_an_order_32_star_trace_reads_under_a_third_of_its_rows(self, monkeypatch):
+        sig, head, rows = star_rows(32)
+        read = reading(monkeypatch)
+        decode(joined(head, rows))
+        assert 3 * len(read) < len(rows)
+        assert len(read) == 1 + 32 + 6  # the root, the SpanClosure rows, the first family
+        _, verdict = assert_same_decodes(sig, joined(head, rows))
+        assert verdict.ok

@@ -317,5 +317,18 @@ class TestVectorRange:
             with pytest.raises(HdqlError, match="state vector has non-finite entries"):
                 hl.vector(coords)
 
+    @pytest.mark.filterwarnings("error")
+    def test_vec_eq_refuses_a_norm_that_overflows(self):
+        big, big_i = np.array([1e200, 0j]), np.array([0, 1e200j])
+        for v, w in ((big, big_i), (big, K0), (K0, big_i)):
+            with pytest.raises(HdqlError, match="state vector's norm overflows"):
+                hl.vec_eq(v, w)
+        with pytest.raises(HdqlError, match="state vector has non-finite entries"):
+            hl.vec_eq(K0, np.array([np.nan, 0j]))
+        # both norms are finite and their difference's is not: unequal, no warning
+        edge = np.array([1e154, 0j])
+        assert not hl.vec_eq(edge, -edge) and hl.vec_eq(edge, edge.copy())
+        assert hl.vec_eq(K0, K0 + 1e-12) and not hl.vec_eq(K0, K1)
+
     def test_a_norm_just_below_the_overflow_is_a_state(self):
         assert np.isfinite(hl.norm(hl.vector([1e153, 1e153j])))
