@@ -50,9 +50,9 @@ from .syntax import (AComp, ASym, AStar, AUnion, And, At, Imp, Nec, Origin,
                      Prop, QImp, Store, TApp, TSmul, TSum)
 
 __all__ = [
-    "RuleId", "Sequent", "ProofTree", "CheckResult", "ProveResult",
-    "SearchBudget", "ProofSession", "check_proof", "prove", "used_premises",
-    "restrict_premises", "rename_proof", "proof_nodes", "walk_proof", "premise_hypotheses",
+    "RuleId", "Sequent", "ProofTree", "CheckResult", "ProveResult", "SearchBudget",
+    "ProofSession", "check_proof", "prove", "used_premises", "restrict_premises",
+    "rename_proof", "proof_nodes", "proof_size", "walk_proof", "premise_hypotheses",
 ]
 
 
@@ -136,6 +136,18 @@ def premise_hypotheses(rule: RuleId, conclusion: Sequent) -> tuple[sx.Sentence, 
 def proof_nodes(t: ProofTree):
     """Every node of the tree in pre-order, from an explicit stack."""
     return (node for node, _ in walk_proof(t))
+
+
+def proof_size(t: ProofTree) -> int:
+    """How many nodes proof_nodes(t) yields, from one size per distinct node."""
+    size, stack = {}, [t]
+    while stack:
+        if (node := stack.pop()) not in size:
+            if all(p in size for p in node.premises):
+                size[node] = 1 + sum(size[p] for p in node.premises)
+            else:
+                stack += [node, *node.premises]
+    return size[t]
 
 
 @dataclass(frozen=True)

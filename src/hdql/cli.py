@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import syntax as sx
-from .calculus import ProofSession, SearchBudget, check_proof, proof_nodes
+from .calculus import ProofSession, SearchBudget, check_proof, proof_size
 from .errors import BudgetExceeded, HdqlError, ParseError, SemanticsError
 from .hilbert import DEFAULT_TOL
 from .semantics import StarBudget, closed_extension, sat_at
@@ -80,8 +80,7 @@ def run_check(spec: LoadedSpec, goal: tuple[sx.Term, sx.Sentence],
             trace = trace_to_json(gamma, result.tree)
         else:
             trace = serialize_trace(gamma, result.tree)
-        n = sum(1 for _ in proof_nodes(result.tree))
-        return CheckOutcome(EXIT_PROVED, f"proved ({n} nodes)", trace)
+        return CheckOutcome(EXIT_PROVED, f"proved ({proof_size(result.tree)} nodes)", trace)
     if result.status == "fails":
         return CheckOutcome(EXIT_FAILS, f"not provable: {result.reason}")
     return CheckOutcome(EXIT_UNKNOWN, f"unknown: {result.reason}")

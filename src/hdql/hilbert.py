@@ -269,13 +269,37 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return u.ndim == 2 and u.shape[0] == u.shape[1] and unitarity_residual(u) <= tol
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge entries give inf or nan, no warning
 def unitarity_residual(u: np.ndarray) -> float:
     """Max-norm distance of u†u and uu† from the identity."""
-    u = np.asarray(u, dtype=complex)
-    eye = np.eye(u.shape[0])
-    return float(max(np.max(np.abs(u.conj().T @ u - eye)),
-                     np.max(np.abs(u @ u.conj().T - eye))))
+    return unitarity_residuals([u])[0]
+
+
+def unitarity_residuals(gates: list) -> list[float]:
+    """unitarity_residual of each of a list of (d, d) gates, one d for all."""
+    def residuals(us):
+        adj = us.conj().swapaxes(1, 2)
+        left, right = _from_identity(adj @ us), _from_identity(us @ adj)
+        return np.where(right > left, right, left)  # max(left, right): a nan right loses
+    return _stacked(gates, residuals)
+
+
+def gram_residuals(bases: list) -> list[float]:
+    """Max-norm distance of each basis' Gram matrix from the identity, for (r, d) bases."""
+    return _stacked(bases, lambda b: _from_identity(b.conj() @ b.swapaxes(1, 2)))
+
+
+def _from_identity(products: np.ndarray) -> np.ndarray:
+    return np.abs(products - np.eye(products.shape[1])).max(axis=(1, 2))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # huge entries give inf or nan, no warning
+def _stacked(arrays: list, residuals) -> list[float]:
+    """residuals(stack) over stacks of the arrays, all of one shape; a stack holds at
+    most 2**16 entries, or one array, so the memory its products take is bounded."""
+    out, step = [], 2 ** 16 // max(1, np.size(arrays[0]) if arrays else 1) or 1
+    for i in range(0, len(arrays), step):
+        out += residuals(np.array(arrays[i:i + step], dtype=complex)).tolist()
+    return out
 
 
 def tensor(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -284,8 +308,8 @@ def tensor(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def tensor_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of operators, first factor most significant."""
-    return np.kron(a, b)
+    """Kronecker product of operators, first factor most significant (np.kron's products)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

@@ -21,9 +21,11 @@ A problem file is a sequence of keyword sections::
       r = span { w0 }
 
 ``#`` starts a comment; blank lines are ignored. Section keywords must
-start a line. Proof traces serialize to a line-oriented indented tree, one
-node per line (``rule | term | sentence`` with an optional certificate
-suffix), or to a JSON mirror of the same fields; both round-trip exactly.
+start a line. A load reads each distinct numeral text once; ``validate``
+checks the gates, and the measurement bases, in stacked products. Proof
+traces serialize to a line-oriented indented tree, one node per line
+(``rule | term | sentence`` with an optional certificate suffix), or to a
+JSON mirror of the same fields; both round-trip exactly.
 Both formats are thin layers over one walk of pre-order node records, and
 one decoder rebuilds the tree from them, sharing equal subtrees; it reads each
 distinct text (sub-sentences too) and each repeated text-trace block once.
@@ -105,25 +107,35 @@ def _split_top(text: str, sep: str) -> list[str]:
     return [text[i + 1:j] for i, j in zip(cuts, cuts[1:] + [len(text)])]
 
 
-def _numbers(parts: list[str], where: str, errors: list[str]) -> list[complex] | None:
+class _Numerals(dict):
+    """Numeral text -> its value, each distinct text read once; one per load."""
+
+    def __missing__(self, text: str) -> complex:
+        value = self[text] = sx.parse_complex(text)
+        return value
+
+
+def _numbers(parts: list[str], where: str, errors: list[str],
+             numerals: dict) -> list[complex] | None:
     """The finite complex literals of a comma-split list; None after a located error."""
     try:
-        nums = [sx.parse_complex(p.strip()) for p in parts]
+        nums = [numerals[p.strip()] for p in parts]
     except HdqlError as e:
         errors.append(f"{where}: {e}")
         return None
-    bad = [p.strip() for p, c in zip(parts, nums) if not cmath.isfinite(c)]
-    if bad:
-        errors.append(f"{where}: number {bad[0]} is not finite")
-    return None if bad else nums
+    if all(map(cmath.isfinite, nums)):
+        return nums
+    bad = next(p.strip() for p, c in zip(parts, nums) if not cmath.isfinite(c))
+    errors.append(f"{where}: number {bad} is not finite")
+    return None
 
 
-def _parse_coords(text: str, where: str, errors: list[str]) -> np.ndarray | None:
+def _parse_coords(text: str, where: str, errors: list[str], numerals: dict) -> np.ndarray | None:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         errors.append(f"{where}: expected a parenthesized coordinate list")
         return None
-    coords = _numbers(_split_top(text[1:-1], ","), where, errors)
+    coords = _numbers(_split_top(text[1:-1], ","), where, errors, numerals)
     try:
         return None if coords is None else hl.vector(coords)
     except HdqlError as e:  # finite coordinates whose norm overflows
@@ -131,9 +143,9 @@ def _parse_coords(text: str, where: str, errors: list[str]) -> np.ndarray | None
         return None
 
 
-def _parse_matrix(text: str, where: str, errors: list[str]) -> np.ndarray | None:
+def _parse_matrix(text: str, where: str, errors: list[str], numerals: dict) -> np.ndarray | None:
     rows = [row.split(",") for row in text.strip()[1:-1].split(";")]
-    entries = _numbers([c for row in rows for c in row], where, errors)
+    entries = _numbers([c for row in rows for c in row], where, errors, numerals)
     if entries is None:
         return None
     lengths = {len(r) for r in rows}
@@ -143,13 +155,14 @@ def _parse_matrix(text: str, where: str, errors: list[str]) -> np.ndarray | None
     return np.array(entries, dtype=complex).reshape(len(rows), len(rows))
 
 
-def _parse_gate_expr(text: str, where: str, errors: list[str], dim: int) -> np.ndarray | None:
+def _parse_gate_expr(text: str, where: str, errors: list[str], dim: int,
+                     numerals: dict) -> np.ndarray | None:
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
             errors.append(f"{where}: unterminated matrix literal")
             return None
-        return _parse_matrix(text, where, errors)
+        return _parse_matrix(text, where, errors, numerals)
     factors = [f.strip() for f in text.split("(x)")]
     sizes = []
     for f in factors:
@@ -184,6 +197,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
     """
     errors: list[str] = []
     dim: int | None = None
+    numerals = _Numerals()  # a teleport file has 104 numerals, of 6 distinct texts
     filed: dict[str, list[tuple[str, str]]] = {s: [] for s in _SECTIONS}  # (where, text)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -219,7 +233,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
     vectors: dict[str, np.ndarray] = {}
     for where, line in filed["VECTORS"]:
         name, _, rhs = line.partition("=")
-        v = _parse_coords(rhs, where, errors)
+        v = _parse_coords(rhs, where, errors, numerals)
         if v is not None:
             vectors[name.strip()] = v
     props: dict[str, bool] = {}  # name -> closed
@@ -242,7 +256,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
     unitaries: dict[str, np.ndarray] = {}
     for where, line in filed["UNITARY"]:
         name, _, rhs = line.partition("=")
-        m = _parse_gate_expr(rhs, where, errors, dim)
+        m = _parse_gate_expr(rhs, where, errors, dim, numerals)
         if m is not None:
             unitaries[name.strip()] = m
 
@@ -251,7 +265,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
         out = []
         for item in items:
             if item.startswith("("):
-                v = _parse_coords(item, where, errors)
+                v = _parse_coords(item, where, errors, numerals)
             elif (v := vectors.get(item)) is None:
                 errors.append(f"{where}: unknown vector name {item!r}")
             if v is not None and v.shape[0] != dim:
@@ -278,20 +292,27 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
     for violation in validate(sig):
         errors.append(f"validation: {violation}")
 
-    def check_resolved(sentence: sx.Sentence, where: str) -> None:
-        used_props, used_acts, used_names = sx.sentence_symbols(sentence)
-        for p in sorted(used_props - set(props)):
-            errors.append(f"{where}: undeclared proposition {p!r}")
-        declared_acts = set(unitaries) | set(measurements)
-        for a in sorted(used_acts - declared_acts):
-            errors.append(f"{where}: undeclared operation symbol {a!r}")
-        for n in sorted(used_names - set(vectors)):
-            errors.append(f"{where}: undeclared vector name {n!r}")
+    declared = {sx.Prop: ("proposition", set(props)),  # in the order their errors come
+                sx.ASym: ("operation symbol", set(unitaries) | set(measurements)),
+                sx.Name: ("vector name", set(vectors))}
+
+    def check_resolved(sentence: sx.Sentence, where: str) -> None:  # in one walk
+        used, literals = {cls: set() for cls in declared}, []
         for n in sx.walk(sentence):
-            if type(n) is sx.VecLit and len(n.coords) != dim:
+            if (cls := type(n)) in used:
+                used[cls].add(n.name)
+            elif cls is sx.TApp:
+                used[sx.ASym].add(n.sym)
+            elif cls is sx.VecLit:
+                literals.append(n)
+        for cls, (noun, names) in declared.items():
+            for name in sorted(used[cls] - names):
+                errors.append(f"{where}: undeclared {noun} {name!r}")
+        for n in literals:
+            if len(n.coords) != dim:
                 errors.append(f"{where}: vector literal of dim {len(n.coords)} "
                               f"in space of dim {dim}")
-            elif type(n) is sx.VecLit:
+            else:
                 try:
                     hl.vector(n.coords)
                 except HdqlError as e:

@@ -659,10 +659,10 @@ def parse(text: str) -> Sentence:
     return parse_sentence(text)
 
 
-# a complex literal whose tokens only spaces or tabs separate
+# a complex literal whose tokens only spaces or tabs separate; one pass reads each numeral once
 _COMPLEX = re.compile(rf"""[ \t]*(?P<neg>-[ \t]*)?
-    (?: (?P<unit>i) | (?P<im>{_NUMERAL})i
-      | (?P<re>{_NUMERAL})(?:[ \t]*(?P<op>[+-])[ \t]*(?P<tail>{_NUMERAL})i)? )[ \t]*""",
+    (?: (?P<unit>i) | (?P<num>{_NUMERAL})
+        (?: (?P<im>i) | [ \t]*(?P<op>[+-])[ \t]*(?P<tail>{_NUMERAL})i )? )[ \t]*""",
                       re.VERBOSE)
 
 
@@ -679,9 +679,9 @@ def parse_complex(text: str) -> complex:
     sign = -1.0 if m["neg"] else 1.0
     if m["unit"]:
         return complex(0.0, sign)
+    first = sign * float(m["num"])
     if m["im"]:
-        return complex(0.0, sign * float(m["im"]))
-    first = sign * float(m["re"])
+        return complex(0.0, first)
     if m["tail"] is None:
         return complex(first, 0.0)
     im = float(m["tail"])

@@ -1129,3 +1129,25 @@ class TestDeepTerms:
             assert session.intern(k) == session.intern(Name("w0"))
         else:
             assert session.prove(k, parse("[u1] p")).status == "fails"
+
+
+class TestProofSize:
+    # sizes are compared as plain ints: a failing assert would print the trees
+    def test_counts_every_place_of_a_shared_subproof(self):
+        _, tree = _rotation_proof()
+        size, places = calculus.proof_size(tree), sum(1 for _ in proof_nodes(tree))
+        distinct, unshared = len(set(proof_nodes(tree))), calculus.proof_size(_unshared(tree))
+        assert size == places == unshared > distinct
+
+    def test_on_a_3000_deep_chain(self):
+        size = calculus.proof_size(eq_chain(3000))
+        assert size == 3001
+
+    def test_visits_each_distinct_node_once(self):
+        # a chain of n nodes each with its premise twice: 2^n places, n + 1 nodes
+        seq = Sequent((Prop("p"),), Name("v0"), Prop("p"))
+        tree = ProofTree(seq, RuleId.MONOTONICITY)
+        for _ in range(60):
+            tree = ProofTree(seq, RuleId.CONJ_I, (tree, tree))
+        size = calculus.proof_size(tree)
+        assert size == 2 ** 61 - 1

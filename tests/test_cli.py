@@ -592,3 +592,45 @@ class TestOutOfRangeData:
         path.write_text(OVERFLOW.format(axiom="@(v0) p", goal="v0 PROVE !p"))
         code, output = run(["initial", str(path), "--depth", "1"])
         assert code == 1 and output.endswith("goal 1: satisfied in the initial model: false\n")
+
+
+# a multiple of a state by a scalar that is not finite
+INF_GOAL = OVERFLOW.format(axiom="@(v0) r", goal="1e999*v1 PROVE r")
+
+
+class TestNonFiniteMultiples:
+    @pytest.mark.parametrize("argv, message", [
+        (["check"], "goal 1: cannot be checked: state vector has non-finite entries\n"),
+        (["initial", "--depth", "1"],
+         "goal 1: cannot be evaluated: state vector has non-finite entries\n"),
+        (["eval", "--at", "1e999*v1", "--sentence", "r"],
+         "cannot evaluate: state vector has non-finite entries\n"),
+        (["eval", "--at", "1e300*v1", "--sentence", "r"],
+         "cannot evaluate: state vector's norm overflows\n"),
+        (["eval", "--at", "1e300*vec(1e100, 0)", "--sentence", "r"],
+         "cannot evaluate: state vector has non-finite entries\n"),
+    ], ids=["check", "initial", "eval-inf", "eval-norm", "eval-product"])
+    def test_exits_65_without_warnings(self, tmp_path, argv, message):
+        path = tmp_path / "inf.hdql"
+        path.write_text(INF_GOAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, output = run([argv[0], str(path)] + argv[1:])
+        assert code == 65 and output.endswith(message), output
+
+    def test_a_forged_span_closure_at_such_a_state_is_rejected_without_warnings(self, tmp_path):
+        path, trace = tmp_path / "inf.hdql", tmp_path / "forged.trace"
+        path.write_text(INF_GOAL)
+        trace.write_text("HDQL-TRACE 1\ngamma 1\n  @(v0) r\nproof\nSpanClosure | 1e999*v1 | r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["recheck", str(path), str(trace)]) == (
+                1, "trace rejected: root term inf*v1: state vector has non-finite entries\n")
+
+    def test_eval_exits_65_with_empty_stderr_under_w_error(self):
+        demo = os.path.join(os.path.dirname(__file__), "..", "demos", "teleport.hdql")
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hdql", "eval", demo, "--at", "1e999*w0",
+             "--sentence", "p"], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (65, "")
+        assert result.stdout == "cannot evaluate: state vector has non-finite entries\n"
