@@ -100,6 +100,16 @@ class ProofTree:
     premises: tuple["ProofTree", ...] = ()
     certificate: "int | Morphism | None" = None
 
+    def __repr__(self) -> str:  # each distinct node once, its premises as #i, from a stack
+        ids, stack = {}, [self]
+        while stack:
+            if (node := stack.pop()) not in ids:
+                ids[node] = f"#{len(ids)}"
+                stack += reversed(node.premises)
+        return "ProofTree(" + "; ".join(
+            f"{i} {n.rule.value} {n.conclusion!r} certificate={n.certificate!r} "
+            f"premises=({', '.join(map(ids.get, n.premises))})" for n, i in ids.items()) + ")"
+
 
 def walk_proof(t: ProofTree, ctx=None, premise_ctx=lambda node, ctx: ctx):
     """(node, ctx) for every node of the tree in pre-order, from an explicit

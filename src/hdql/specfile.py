@@ -23,12 +23,12 @@ A problem file is a sequence of keyword sections::
 ``#`` starts a comment; blank lines are ignored. Section keywords must
 start a line. A load reads each distinct numeral text once; ``validate``
 checks the gates, and the measurement bases, in stacked products. Proof
-traces serialize to a line-oriented indented tree, one node per line
+traces serialize to a line-oriented indented tree, one place per line
 (``rule | term | sentence`` with an optional certificate suffix), or to a
-JSON mirror of the same fields; both round-trip exactly.
-Both formats are thin layers over one walk of pre-order node records, and
-one decoder rebuilds the tree from them, sharing equal subtrees; it reads each
-distinct text (sub-sentences too) and each repeated text-trace block once.
+JSON mirror of the same fields; both round-trip exactly. Both writers share
+one pre-order walk and write a shared subproof again by copying its first block;
+one decoder rebuilds the tree, sharing equal subtrees, and reads each distinct
+text (sub-sentences too) and each repeated block, of text rows or JSON, once.
 JSON traces are written compact on one line; indented JSON is still read.
 """
 
@@ -40,13 +40,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import hilbert as hl
 from . import syntax as sx
-from .calculus import ProofTree, RuleId, Sequent, premise_hypotheses, walk_proof
+from .calculus import ProofTree, RuleId, Sequent, premise_hypotheses, proof_size
 from .errors import HdqlError, ParseError
 from .hilbert import DEFAULT_TOL, Subspace
 from .semantics import FiniteVectors, QuantumModel, Region
@@ -380,51 +379,62 @@ def valuation_model(spec: LoadedSpec) -> QuantumModel:
 
 # ----------------------------------------------------------- trace formats
 #
-# Both formats are thin layers over one record walk. A record is one proof
-# node in pre-order: (depth, (rule, term text, sentence text, certificate)).
+# Both formats are thin layers over one record walk, _records, and one decoder, _build.
 
 def _records(tree: ProofTree):
-    """Pre-order records of a proof tree; an explicit stack, so any depth.
-    A node object met again (a shared subproof) is formatted once, and so is
-    an AST node object met again: the tree keeps both alive for the memo."""
-    rows: dict[ProofTree, tuple] = {}
-    memo = {}
-    for node, depth in walk_proof(tree, 0, lambda node, depth: depth + 1):
-        row = rows.get(node)
-        if row is None:
-            cert = node.certificate
-            row = rows[node] = (node.rule.value, sx.format_term(node.conclusion.k, memo),
-                                sx.format_sentence(node.conclusion.goal, memo),
-                                cert if isinstance(cert, int) else None)
-        yield depth, row
+    """(depth, node, (rule, term text, sentence text, certificate), first) for
+    each place in pre-order, from an explicit stack. A node object met again (a
+    shared subproof) has first=False, and its subtree is not walked again. Its
+    row, formatted once, is kept, and so is each AST node object's text."""
+    rows, memo, stack = {}, {}, [(tree, 0)]  # rows: node -> its row
+    while stack:
+        node, depth = stack.pop()
+        if (row := rows.get(node)) is not None:
+            yield depth, node, row, False
+            continue
+        cert = node.certificate
+        row = rows[node] = (node.rule.value, sx.format_term(node.conclusion.k, memo),
+                            sx.format_sentence(node.conclusion.goal, memo),
+                            cert if isinstance(cert, int) else None)
+        yield depth, node, row, True
+        stack += [(p, depth + 1) for p in reversed(node.premises)]
 
 
 def serialize_trace(gamma, tree: ProofTree) -> str:
-    """Deterministic line-oriented form of a proof tree."""
+    """Deterministic line-oriented form of a proof tree. A node met again is
+    written by copying its first block's lines, re-indented to its depth."""
     gamma = tuple(gamma)
     lines = ["HDQL-TRACE 1", f"gamma {len(gamma)}"]
     lines += ["  " + sx.format_sentence(c) for c in gamma] + ["proof"]
-    for depth, (rule, term, goal, cert) in _records(tree):
-        suffix = "" if cert is None else f" [n={cert}]"
-        lines.append(f"{'  ' * depth}{rule} | {term} | {goal}{suffix}")
+    blocks, size = {}, functools.cache(proof_size)  # blocks: node -> its depth, first line
+    for depth, node, (rule, term, goal, cert), first in _records(tree):
+        if first:
+            blocks[node] = depth, len(lines)
+            suffix = "" if cert is None else f" [n={cert}]"
+            lines.append(f"{'  ' * depth}{rule} | {term} | {goal}{suffix}")
+            continue
+        d, start = blocks[node]  # its block is complete, since this place follows it
+        block = lines[start:start + size(node)]
+        lines += block if depth == d else ["  " * depth + line[2 * d:] for line in block]
     return "\n".join(lines) + "\n"
 
 
 def trace_to_json(gamma, tree: ProofTree) -> str:
-    """JSON mirror of the text trace, written compact on one line."""
-    roots: list[dict] = []
-    path: list[dict] = []  # path[d] is the latest node at depth d
-    for depth, (rule, term, goal, cert) in _records(tree):
-        node = {"rule": rule, "term": term, "goal": goal,
-                "certificate": cert, "premises": []}
+    """JSON mirror of the text trace, written compact on one line. A node met
+    again is its first place's dict once more, which json.dumps writes out."""
+    roots, path, dicts = [], [], {}  # path[d]: the latest dict at depth d; dicts: node -> dict
+    for depth, node, (rule, term, goal, cert), first in _records(tree):
+        item = dicts[node] = {"rule": rule, "term": term, "goal": goal, "certificate": cert,
+                              "premises": []} if first else dicts[node]
         del path[depth:]
-        (path[-1]["premises"] if path else roots).append(node)
-        path.append(node)
+        (path[-1]["premises"] if path else roots).append(item)
+        path.append(item)
     return json.dumps({"version": 1, "gamma": [sx.format_sentence(c) for c in gamma],
                        "proof": roots[0]}) + "\n"
 
 
 _RULES_BY_NAME = {r.value: r for r in RuleId}
+_NO_BLOCK = 0, 0, 0, None, None
 _CERT_SUFFIX = re.compile(r"(.*) \[n=(\d+)\]")
 _APPLICATION = re.compile(r"([A-Za-z_][\w']*)\(", re.ASCII)  # the 'f(' of f(t)
 _PREFIX = re.compile(r"@\(|[\[<!~]")  # the printer's prefix forms, each over an operand
@@ -455,16 +465,16 @@ def _read(table: dict, step, parse, text: str):
 
 
 def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
-    """Rebuild (clause set, proof tree) from pre-order records.
+    """Rebuild (clause set, proof tree) from a trace's text rows or JSON node dicts.
 
     Each distinct term, action and sentence text is read once, over the parts of
     the printer's forms, so equal sub-texts are one AST object: f(t) (f not vec)
     over t; [A] S, <A> S, @(t) S, !S, ~S over S if S binds as tight as they do;
     an action at its last '|', else its first ';'. A row with an earlier one's
     texts, certificate and premise objects, over an equal clause set, is that
-    row's node, so the kernel checks each distinct subproof once. A text trace's
-    block (a row and the deeper rows under it) whose lines equal an earlier block
-    with premises, over an equal clause set, is that block's tree, read only once.
+    row's node, so the kernel checks each distinct subproof once. A block (a row
+    and the deeper rows, or a node dict) equal to an earlier block with premises
+    (line for line, or by ==) under an equal clause set is that block's tree, read once.
     """
     def term_step(text):  # f(t), f not vec, with t read before or its '(' closed at the end
         m = _APPLICATION.match(text)
@@ -495,37 +505,39 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
                                if t.isascii() and t.isidentifier() else sx.parse_action(t))
     sentence = functools.partial(_read, sentences, sentence_step, sx.parse_sentence)
     gamma = tuple(map(sentence, gamma_texts))
-    roots, nodes = [], {}  # nodes: (row, premise objects) -> its latest node
-    rows, blocks = getattr(records, "rows", None), {}  # blocks: text -> depth, n, size, tree
-    open_: list[tuple] = []  # per depth: row, conclusion, premises, their gamma, n, text
+    roots, nodes, blocks = [], {}, {}  # nodes: (row, premise objects) -> its latest node
+    open_: list[tuple] = []  # per depth: row, conclusion, premises, their gamma, n, first, dict
 
-    def close(end: int) -> None:  # end: the row after the node's block
-        row, conclusion, premises, _, start, first = open_.pop()
+    def close(end: int) -> None:  # end: the place after the node's block
+        row, conclusion, premises, _, start, first, source = open_.pop()
         tree = nodes.get(key := (row, tuple(premises)))
         if tree is None or tree.conclusion.gamma != conclusion.gamma:  # Imp's leaves differ
             tree = nodes[key] = ProofTree(conclusion, row[0], key[1], row[3])
-        if premises and rows:
-            blocks[first] = len(open_), start, end - start, tree
+        if premises:  # blocks: a block's first row -> depth, n, size, tree, node dict
+            blocks[first] = len(open_), start, end - start, tree, source
         (open_[-1][2] if open_ else roots).append(tree)
 
-    numbered = enumerate(records if rows is None else rows)
-    for n, record in numbered:
-        if rows is None:
-            depth, rule_name, term_text, goal_text, cert = record
+    rows, n = getattr(records, "rows", None), 0  # a text trace's node rows, else JSON:
+    stack = [(getattr(records, "proof", None), 0)]  # node dicts to read, with their depths
+    while stack if rows is None else n < len(rows):
+        if rows is None:  # a JSON node dict and its record
+            node, depth = stack.pop()
+            first = fields = _json_fields(node, depth)
         else:  # a text row's depth, then its text past the indent
-            depth = (len(record) - len(record := record.lstrip(" "))) // 2
+            node, raw = None, rows[n]
+            depth = (len(raw) - len(first := raw.lstrip(" "))) // 2
         while len(open_) > depth:
             close(n)
-        if rows is not None:  # a text row: an earlier block's tree, or read here
-            d, start, size, tree = blocks.get(record, (0, 0, 0, None))
-            if (tree and 0 < d == depth == len(open_) and tree.conclusion.gamma == open_[-1][3]
-                    and rows[n + 1:n + size] == rows[start + 1:start + size]
-                    and (n + size == len(rows)  # the line after it is no deeper
-                         or not rows[n + size].startswith("  " * depth + "  "))):
-                open_[-1][2].append(tree)
-                next(islice(numbered, size - 1, size - 1), None)  # past the block's rows
-                continue
-            rule_name, term_text, goal_text, cert = _text_fields(record)
+        d, start, size, tree, source = blocks.get(first, _NO_BLOCK)
+        if tree and 0 < d and depth == len(open_) and tree.conclusion.gamma == open_[-1][3] and (
+                (records.exact and node == source) if rows is None  # a copy of the block's dict
+                else d == depth and rows[n + 1:n + size] == rows[start + 1:start + size]
+                and (n + size == len(rows)  # the line after its lines is no deeper
+                     or not rows[n + size].startswith("  " * depth + "  "))):
+            open_[-1][2].append(tree)  # its rows or dicts unread
+            n += size
+            continue
+        rule_name, term_text, goal_text, cert = fields if rows is None else _text_fields(first)
         if roots or depth != len(open_):
             raise HdqlError(f"node {n}: bad indent or a second root")
         rule = _RULES_BY_NAME.get(rule_name)
@@ -534,9 +546,12 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
         conclusion = Sequent(open_[-1][3] if open_ else gamma, terms.get(term_text)
                              or term(term_text), sentences.get(goal_text) or sentence(goal_text))
         open_.append(((rule, term_text, goal_text, cert), conclusion, [],
-                      conclusion.gamma + premise_hypotheses(rule, conclusion), n, record))
+                      conclusion.gamma + premise_hypotheses(rule, conclusion), n, first, node))
+        if rows is None:
+            stack += [(p, depth + 1) for p in reversed(node["premises"])]
+        n += 1
     while open_:
-        close(len(rows or ()))
+        close(n)
     if not roots:
         raise HdqlError("the proof has no nodes")
     return gamma, roots[0]
@@ -576,30 +591,45 @@ def deserialize_trace(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     return _build([c.strip() for c in lines[2:2 + n]], _TextRows(rows))
 
 
-def _json_records(proof):
-    stack = [(proof, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if not (isinstance(node, dict) and isinstance(node.get("premises"), list)
-                and all(isinstance(node.get(f), str) for f in ("rule", "term", "goal"))):
-            raise HdqlError(f"a proof node at depth {depth} lacks string 'rule', "
-                            "'term' and 'goal' or list 'premises'")
-        cert = node.get("certificate")
-        if cert is not None and type(cert) is not int:
-            raise HdqlError(f"certificate {cert!r} is not a whole number")
-        yield depth, node["rule"], node["term"], node["goal"], cert
-        stack += [(p, depth + 1) for p in reversed(node["premises"])]
+def _json_fields(node, depth: int) -> tuple:  # a node dict's record but its depth
+    if not (isinstance(node, dict) and isinstance(node.get("premises"), list)
+            and isinstance(rule := node.get("rule"), str)
+            and isinstance(term := node.get("term"), str)
+            and isinstance(goal := node.get("goal"), str)):
+        raise HdqlError(f"a proof node at depth {depth} lacks string 'rule', "
+                        "'term' and 'goal' or list 'premises'")
+    if (cert := node.get("certificate")) is not None and type(cert) is not int:
+        raise HdqlError(f"certificate {cert!r} is not a whole number")
+    return rule, term, goal, cert
+
+
+@dataclass
+class _JsonNodes:
+    """A JSON trace's root node dict; iterated, its records. _build walks the dicts
+    itself, to take a block's copy by ==; exact: no float or bool, == takes for an int."""
+    proof: object
+    exact: bool
+
+    def __iter__(self):
+        stack = [(self.proof, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield depth, *_json_fields(node, depth)
+            stack += [(p, depth + 1) for p in reversed(node["premises"])]
 
 
 def trace_from_json(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
-    """Rebuild (clause set, proof tree) node by node from the JSON mirror, compact or indented."""
+    """Rebuild (clause set, proof tree) from the JSON mirror, compact or indented,
+    each repeated subtree read once."""
+    floats = []  # == takes 1.0 and true for 1: a trace with either is read node by node
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=lambda s: floats.append(s) or float(s))
     except (ValueError, RecursionError) as e:
         raise HdqlError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    if not isinstance(doc, dict) or type(version := doc.get("version")) is not int or version != 1:
         raise HdqlError("not a version-1 JSON trace")
     gamma = doc.get("gamma")
     if not isinstance(gamma, list) or not all(isinstance(c, str) for c in gamma):
         raise HdqlError("'gamma' is not a list of sentence strings")
-    return _build(gamma, _json_records(doc.get("proof")))
+    exact = not floats and "true" not in text and "false" not in text
+    return _build(gamma, _JsonNodes(doc.get("proof"), exact))

@@ -1,6 +1,7 @@
 """Prover and kernel: the teleportation derivation, rule schemas, budgets."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -1151,3 +1152,37 @@ class TestProofSize:
             tree = ProofTree(seq, RuleId.CONJ_I, (tree, tree))
         size = calculus.proof_size(tree)
         assert size == 2 ** 61 - 1
+
+
+class TestProofRepr:
+    @staticmethod
+    def entries(text):
+        assert text.startswith("ProofTree(#0 ") and text.endswith(")")
+        return text[len("ProofTree("):-1].split("; ")
+
+    def test_a_shared_subproof_is_printed_once(self):
+        # the 61-node DAG of TestProofSize: 2^61 - 1 places, 61 entries; first a
+        # 13-node one, whose 8,191 places a repr printing every place can still print
+        seq = Sequent((Prop("p"),), Name("v0"), Prop("p"))
+        for levels in (12, 60):
+            tree = ProofTree(seq, RuleId.MONOTONICITY)
+            for _ in range(levels):
+                tree = ProofTree(seq, RuleId.CONJ_I, (tree, tree))
+            start = time.perf_counter()
+            entries = self.entries(repr(tree))
+            assert time.perf_counter() - start < 1
+            assert len(entries) == levels + 1
+            assert entries[0] == f"#0 ConjI {seq!r} certificate=None premises=(#1, #1)"
+            assert entries[-1] == f"#{levels} Monotonicity {seq!r} certificate=None premises=()"
+
+    def test_on_a_3000_deep_chain(self):
+        entries = self.entries(repr(eq_chain(3000)))
+        assert len(entries) == 3001
+        assert entries[2999].startswith("#2999 EQ ") and entries[2999].endswith("=(#3000)")
+
+    def test_premises_refer_back_to_their_first_place(self):
+        _, tree = _rotation_proof()
+        entries = self.entries(repr(tree))
+        assert len(entries) == len(set(proof_nodes(tree))) == 1 + 8 + 6
+        assert entries[0].endswith("premises=(#1, #8, #9, #10, #11, #12, #13, #14)")
+        assert all(e.endswith("premises=(#2, #5)") for e in entries[8:15])

@@ -124,6 +124,20 @@ class TestCheck:
         assert code == 65
         assert "malformed trace" in output
 
+    @pytest.mark.parametrize("version", ["true", "1.0", "2"])
+    def test_a_json_version_that_is_not_the_whole_number_1_exits_65(self, tmp_path, version):
+        path = tmp_path / "small.hdql"
+        path.write_text(SMALL)
+        trace = tmp_path / "proof.json"
+        code, _ = run(["check", str(path), "--goal", "1", "--format", "json",
+                       "--trace", str(trace)])
+        assert code == 0 and run(["recheck", str(path), str(trace)]) == (0, "trace checks\n")
+        doc = trace.read_text()
+        assert doc.startswith('{"version": 1, ')
+        trace.write_text(doc.replace('"version": 1', f'"version": {version}', 1))
+        code, output = run(["recheck", str(path), str(trace)])
+        assert (code, output) == (65, "malformed trace: not a version-1 JSON trace\n")
+
     def forged(self, tmp_path, name, trace):
         path = tmp_path / "teleport.hdql"
         path.write_text(teleport_spec_text(0.6, 0.8))

@@ -570,3 +570,137 @@ class TestBlockReuse:
         assert len(read) == 1 + 32 + 6  # the root, the SpanClosure rows, the first family
         _, verdict = assert_same_decodes(sig, joined(head, rows))
         assert verdict.ok
+
+
+# -------------------------------------------------------- JSON block reuse
+
+def opened(monkeypatch):
+    """The conclusions of the nodes that the decoder reads from now on, in order."""
+    read, sequent = [], specfile.Sequent
+    monkeypatch.setattr(specfile, "Sequent", lambda *a: read.append(sequent(*a)) or read[-1])
+    return read
+
+
+def shape(tree):
+    """Each place's node, as the index of its first place among the distinct nodes."""
+    first = {}
+    return [first.setdefault(n, len(first)) for n in proof_nodes(tree)]
+
+
+def star_json(order):
+    """(signature, JSON trace) of the [g*] r proof."""
+    sig, gamma, tree = star_proof(order)
+    return sig, trace_to_json(gamma, tree)
+
+
+def rotation_json():
+    spec = load_spec(ROTATION)
+    tree = ProofSession(spec.sig, spec.axioms).prove(*spec.goals[0]).tree
+    return spec.sig, trace_to_json(tree.conclusion.gamma, tree)
+
+
+def in_copy(trace, old, new, i):
+    """The trace with the i-th occurrence of old replaced by new."""
+    parts = trace.split(old)
+    return old.join(parts[:i + 1]) + new + old.join(parts[i + 1:])
+
+
+class TestJsonBlockReuse:
+    def test_a_block_under_another_clause_set_is_read_again(self, monkeypatch):
+        spec = load_spec_text(
+            "SPACE 2\nVECTORS\n  v0 = (1, 0)\nPROPS\n  p\n  q\n  s\nAXIOMS\n  @(v0) q\n"
+            "GOAL AT v0 PROVE ((p => q /\\ q) /\\ (s => q /\\ q)) /\\ (p => q /\\ q)\n")
+        sig, gamma, tree = proofs(spec.sig, spec.axioms, spec.goals)[0]
+        trace = trace_to_json(gamma, tree)
+        read = opened(monkeypatch)
+        _, back = decode(trace)
+        # not read: the second RetE block (2 nodes) under each inner ConjI, and the last
+        # Imp block (6 nodes), which is the first one's at another depth, same clause set
+        inner = [s for s in read if s.goal == sx.parse("q /\\ q")]
+        assert len(inner) == 2 and len(read) == sum(1 for _ in proof_nodes(back)) - 2 * 2 - 6
+        (imp_p, imp_s), imp_last = back.premises[0].premises, back.premises[1]
+        assert imp_last is imp_p
+        conj_p, conj_s = imp_p.premises[0], imp_s.premises[0]
+        assert conj_s.conclusion.gamma == gamma + (sx.parse("@(v0) s"),)
+        assert conj_p.premises[0] is conj_p.premises[1]
+        assert conj_s.premises[0] is conj_s.premises[1] is not conj_p.premises[0]
+        _, verdict = assert_same_decodes(sig, trace)
+        assert verdict.ok
+
+    @pytest.mark.parametrize("edit", ["goal", "extra premise"])
+    def test_a_copy_whose_first_row_matches_but_not_what_is_below_is_read(self, edit):
+        sig, trace = star_json(3)
+        doc = json.loads(trace)
+        first, second = (p["premises"][0] for p in doc["proof"]["premises"][:2])
+        assert first == second and first["rule"] == "Mult"
+        leaf = second["premises"][0]["premises"][0]
+        if edit == "goal":
+            leaf["goal"] = "@(v0) r"
+        else:
+            leaf["premises"].append({**leaf, "premises": []})
+        forged = json.dumps(doc)
+        _, back = decode(forged)
+        a, b = back.premises[0].premises[0], back.premises[1].premises[0]
+        assert a is not b and (a.conclusion, a.rule) == (b.conclusion, b.rule)
+        _, verdict = assert_same_decodes(sig, forged)
+        assert not verdict.ok
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rule", "Mul", "node 15: unknown rule 'Mul'"),
+        ("premises", {}, "a proof node at depth 1 lacks string 'rule', 'term' and 'goal' "
+         "or list 'premises'")], ids=["rule", "premises"])
+    def test_a_bad_node_after_reused_blocks_keeps_its_message(self, field, value, message):
+        sig, trace = star_json(3)
+        doc = json.loads(trace)
+        last = doc["proof"]["premises"][2]  # after two copies of the family, each one place
+        assert last["rule"] == "SpanClosure" and last["premises"][0]["rule"] == "Mult"
+        last[field] = value
+        forged = json.dumps(doc)
+        assert decode(forged) == f"HdqlError: {message}"
+        assert_same_decodes(sig, forged)
+
+    @pytest.mark.parametrize("i", [0, 3, 7], ids=["first", "middle", "last"])
+    def test_a_forged_copy_is_rejected_where_it_stands(self, i):
+        sig, trace = rotation_json()
+        assert trace.count('"goal": "@(v1) r"') == 8  # one family under each SpanClosure
+        forged = in_copy(trace, '"goal": "@(v1) r"', '"goal": "@(v0) r"', i)
+        _, verdict = assert_same_decodes(sig, forged)
+        assert (verdict.ok, verdict.path) == (False, (i, 0, 0))
+        assert verdict.reason == "RetE: conclusion is not a component of the premise"
+
+    @pytest.mark.parametrize("cert", ["true", "1.0", "1e0"])
+    def test_a_copy_that_equals_a_block_only_by_number_value_keeps_its_error(self, cert):
+        block = {"rule": "ConjI", "term": "v0", "goal": "p /\\ p", "certificate": None,
+                 "premises": [{"rule": "Monotonicity", "term": "v0", "goal": "p",
+                               "certificate": 1, "premises": []}] * 2}
+        trace = json.dumps({"version": 1, "gamma": ["@(v0) p"], "proof": {
+            "rule": "ConjI", "term": "v0", "goal": "(p /\\ p) /\\ (p /\\ p)",
+            "certificate": None, "premises": [block, block]}})
+        forged = in_copy(trace, '"certificate": 1', f'"certificate": {cert}', 3)
+        assert json.loads(forged) == json.loads(trace)  # == takes true and 1.0 for 1
+        message = decode(forged)
+        assert message.startswith("HdqlError: certificate ") and "is not a whole number" in message
+        assert decode_by_reference(forged) == message
+
+    def test_indented_json_decodes_to_the_same_dag(self):
+        for sig, trace in (star_json(12), rotation_json()):
+            (gamma, tree), (_, again) = decode(trace), decode(json.dumps(json.loads(trace),
+                                                                         indent=2))
+            assert places(again) == places(tree) and shape(again) == shape(tree)
+            assert trace_to_json(gamma, again) == trace
+            assert_same_decodes(sig, json.dumps(json.loads(trace), indent="\t"))
+
+    def test_an_order_32_star_trace_builds_one_node_per_distinct_node(self, monkeypatch):
+        sig, trace = star_json(32)
+        built, proof_tree = [], specfile.ProofTree
+        monkeypatch.setattr(specfile, "ProofTree", lambda *a: built.append(proof_tree(*a))
+                            or built[-1])
+        read = opened(monkeypatch)
+        _, back = decode(trace)
+        distinct = set(proof_nodes(back))
+        assert len(built) == len(distinct) == 1 + 32 + 6  # the root, the SpanClosures, a family
+        assert len(read) == len(distinct) and set(built) == distinct
+        assert 5 * len(read) < sum(1 for _ in proof_nodes(back))
+        monkeypatch.undo()
+        _, verdict = assert_same_decodes(sig, trace)
+        assert verdict.ok
