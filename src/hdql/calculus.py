@@ -344,13 +344,10 @@ def _check_node(sig: SignatureInstance, t: ProofTree, budget: StarBudget,
                 return _bad(path, f"SpanClosure: premise {i} proves something else")
             if span is None:
                 vecs.append(value(p.conclusion.k))
-        if span is None:
-            if vecs:
-                gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-                if np.max(np.abs(gram - np.eye(len(vecs)))) > max(sig.tol, 1e-10):
-                    return _bad(path, "SpanClosure: premise family is not orthonormal")
-            span = memo[key] = (hl.Subspace(sig.dim, np.array(vecs)) if vecs
-                                 else hl.zero_subspace(sig.dim))
+        if span is None:  # not <=: a NaN residual rejects too
+            if vecs and not hl.gram_residuals([basis := np.array(vecs)])[0] <= max(sig.tol, 1e-10):
+                return _bad(path, "SpanClosure: premise family is not orthonormal")
+            span = memo[key] = hl.Subspace(sig.dim, basis) if vecs else hl.zero_subspace(sig.dim)
         if not hl.member(span, value(k), sig.tol):
             return _bad(path, "SpanClosure: conclusion vector lies outside the span")
     elif rule is RuleId.EQ:

@@ -76,10 +76,7 @@ def run_check(spec: LoadedSpec, goal: tuple[sx.Term, sx.Sentence],
                                 f"internal error: emitted proof rejected by the "
                                 f"kernel at {verdict.path}: {verdict.reason}")
         gamma = result.tree.conclusion.gamma
-        if flags.format == "json":
-            trace = trace_to_json(gamma, result.tree)
-        else:
-            trace = serialize_trace(gamma, result.tree)
+        trace = (trace_to_json if flags.format == "json" else serialize_trace)(gamma, result.tree)
         return CheckOutcome(EXIT_PROVED, f"proved ({proof_size(result.tree)} nodes)", trace)
     if result.status == "fails":
         return CheckOutcome(EXIT_FAILS, f"not provable: {result.reason}")
@@ -306,10 +303,8 @@ def _run(args: argparse.Namespace, out) -> int:
         print(f"cannot read {args.tracefile}: {e}", file=out)
         return EXIT_NOINPUT
     try:
-        if text.lstrip().startswith("{"):
-            gamma, tree = trace_from_json(text)
-        else:
-            gamma, tree = deserialize_trace(text)
+        read = trace_from_json if text.lstrip().startswith("{") else deserialize_trace
+        gamma, tree = read(text)
     except HdqlError as e:
         print(f"malformed trace: {e}", file=out)
         return EXIT_DATA

@@ -32,11 +32,17 @@ def vector(coords) -> np.ndarray:
     v = np.atleast_1d(np.asarray(coords, dtype=complex))
     if v.ndim != 1 or v.size < 1:
         raise HdqlError(f"state vector must be 1-d and non-empty, got shape {v.shape}")
-    if not math.isfinite(np.vdot(v, v).real):  # |v|^2: past the largest float once |v| > 1.3e154
-        if not np.all(np.isfinite(v.view(float))):
-            raise HdqlError("state vector has non-finite entries")
-        raise HdqlError("state vector's norm overflows")
+    _finite_norm(v)
     return v
+
+
+def _finite_norm(v: np.ndarray) -> float:
+    """|v| from np.vdot, which does not warn; an HdqlError unless it is finite."""
+    if math.isfinite(square := np.vdot(v, v).real):  # past the largest float once |v| > 1.3e154
+        return math.sqrt(square)
+    if not np.all(np.isfinite(v)):
+        raise HdqlError("state vector has non-finite entries")
+    raise HdqlError("state vector's norm overflows")
 
 
 def operator(entries) -> np.ndarray:
@@ -104,14 +110,14 @@ class VectorTable:
         return -1
 
     def add(self, v: np.ndarray, key: float | None = None) -> int:
-        """Append v as the last row and return its index; key as for find."""
+        """Append v as the last row, if vector takes it, and return its index; key as for find."""
+        scale = max(1.0, _finite_norm(v))
         key = self._key(v) if key is None else key
         n = len(self.rows)
         if n == len(self._rows):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[n] = v
         self.rows = self._rows[:n + 1]
-        scale = max(1.0, norm(v))
         self._bounds.append((self.tol * scale) ** 2)
         self._cells.setdefault(key // self._width, []).append(n)
         if scale * self._unit > self._width:  # wider cells: re-bucket every row

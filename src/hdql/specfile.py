@@ -27,8 +27,8 @@ traces serialize to a line-oriented indented tree, one place per line
 (``rule | term | sentence`` with an optional certificate suffix), or to a
 JSON mirror of the same fields; both round-trip exactly. Both writers share
 one pre-order walk and write a shared subproof again by copying its first block;
-one decoder rebuilds the tree, sharing equal subtrees, and reads each distinct
-text (sub-sentences too) and each repeated block, of text rows or JSON, once.
+one decoder rebuilds the tree, sharing equal subtrees, and reads each repeated
+block, of text rows or JSON, once; ``syntax.reader`` reads the texts of its rows.
 JSON traces are written compact on one line; indented JSON is still read.
 """
 
@@ -50,6 +50,7 @@ from .errors import HdqlError, ParseError
 from .hilbert import DEFAULT_TOL, Subspace
 from .semantics import FiniteVectors, QuantumModel, Region
 from .signature import SignatureInstance, validate
+from .syntax import _split_top
 
 __all__ = [
     "LoadedSpec", "SpecLoadError", "load_spec", "load_spec_text",
@@ -81,44 +82,11 @@ class LoadedSpec:
     valuation: dict[str, Region] | None = None
 
 
-_BRACKET = re.compile(r"[][(){}]")
-_ROUND = str.maketrans("[]{}", "()()")
-
-
-def _top(text: str, mark: str, start: int = 0) -> int:
-    """The first index of ``mark`` in text[start:] outside parentheses, or -1;
-    a ')' found there closes a '(' opened before start."""
-    depth = 0
-    while (j := text.find(mark, start)) >= 0:
-        if (depth := depth + text.count("(", start, j) - text.count(")", start, j)) == 0:
-            return j
-        depth, start = depth - (mark == ")"), j + 1
-    return -1
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on a separator, ignoring separators inside brackets."""
-    if not _BRACKET.search(text):
-        return text.split(sep)
-    cuts, round_ = [-1], text.translate(_ROUND)
-    while (i := _top(round_, sep, cuts[-1] + 1)) >= 0:
-        cuts.append(i)
-    return [text[i + 1:j] for i, j in zip(cuts, cuts[1:] + [len(text)])]
-
-
-class _Numerals(dict):
-    """Numeral text -> its value, each distinct text read once; one per load."""
-
-    def __missing__(self, text: str) -> complex:
-        value = self[text] = sx.parse_complex(text)
-        return value
-
-
 def _numbers(parts: list[str], where: str, errors: list[str],
-             numerals: dict) -> list[complex] | None:
+             numerals) -> list[complex] | None:
     """The finite complex literals of a comma-split list; None after a located error."""
     try:
-        nums = [numerals[p.strip()] for p in parts]
+        nums = [numerals(p.strip()) for p in parts]
     except HdqlError as e:
         errors.append(f"{where}: {e}")
         return None
@@ -129,7 +97,7 @@ def _numbers(parts: list[str], where: str, errors: list[str],
     return None
 
 
-def _parse_coords(text: str, where: str, errors: list[str], numerals: dict) -> np.ndarray | None:
+def _parse_coords(text: str, where: str, errors: list[str], numerals) -> np.ndarray | None:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         errors.append(f"{where}: expected a parenthesized coordinate list")
@@ -142,7 +110,7 @@ def _parse_coords(text: str, where: str, errors: list[str], numerals: dict) -> n
         return None
 
 
-def _parse_matrix(text: str, where: str, errors: list[str], numerals: dict) -> np.ndarray | None:
+def _parse_matrix(text: str, where: str, errors: list[str], numerals) -> np.ndarray | None:
     rows = [row.split(",") for row in text.strip()[1:-1].split(";")]
     entries = _numbers([c for row in rows for c in row], where, errors, numerals)
     if entries is None:
@@ -155,7 +123,7 @@ def _parse_matrix(text: str, where: str, errors: list[str], numerals: dict) -> n
 
 
 def _parse_gate_expr(text: str, where: str, errors: list[str], dim: int,
-                     numerals: dict) -> np.ndarray | None:
+                     numerals) -> np.ndarray | None:
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
@@ -196,7 +164,7 @@ def load_spec_text(text: str, tolerance: float = DEFAULT_TOL) -> LoadedSpec:
     """
     errors: list[str] = []
     dim: int | None = None
-    numerals = _Numerals()  # a teleport file has 104 numerals, of 6 distinct texts
+    numerals = functools.cache(sx.parse_complex)  # a teleport file has 104 numerals, of 6 texts
     filed: dict[str, list[tuple[str, str]]] = {s: [] for s in _SECTIONS}  # (where, text)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -436,74 +404,17 @@ def trace_to_json(gamma, tree: ProofTree) -> str:
 _RULES_BY_NAME = {r.value: r for r in RuleId}
 _NO_BLOCK = 0, 0, 0, None, None
 _CERT_SUFFIX = re.compile(r"(.*) \[n=(\d+)\]")
-_APPLICATION = re.compile(r"([A-Za-z_][\w']*)\(", re.ASCII)  # the 'f(' of f(t)
-_PREFIX = re.compile(r"@\(|[\[<!~]")  # the printer's prefix forms, each over an operand
-_PREFIXES = {"[": (sx.Nec, "]"), "<": (sx.Pos, ">"), "@(": (sx.At, ")"),  # class, closer
-             "!": (sx.Not, None), "~": (sx.QNot, None)}
-_OPERANDS = {sx.Nec, sx.Pos, sx.At, sx.Not, sx.QNot, sx.Prop, sx.Here, sx.UntilS}  # binding 4
-_MAX_PEEL = 64  # steps per text, each storing a rest: memory linear in the text
-
-
-def _read(table: dict, step, parse, text: str):
-    """A text's AST: ``step`` peels (build, rest) off it, at most _MAX_PEEL times,
-    until the rest is in ``table`` or read by ``parse``; then ``build`` makes each
-    text's AST, stored, from its rest's. '#' or an unread piece: parse it whole."""
-    if (value := table.get(text)) is not None:
-        return value
-    pending, rest = [], text
-    try:
-        while ((value := table.get(rest)) is None and "#" not in text
-               and len(pending) < _MAX_PEEL and (s := step(rest))):
-            pending.append((rest, s[0]))
-            rest = s[1]
-        value = table[rest] = parse(rest) if value is None else value
-        for rest, build in reversed(pending):
-            value = table[rest] = build(value)
-    except (ParseError, RecursionError):
-        value = table[text] = parse(text)
-    return value
 
 
 def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     """Rebuild (clause set, proof tree) from a trace's text rows or JSON node dicts.
 
-    Each distinct term, action and sentence text is read once, over the parts of
-    the printer's forms, so equal sub-texts are one AST object: f(t) (f not vec)
-    over t; [A] S, <A> S, @(t) S, !S, ~S over S if S binds as tight as they do;
-    an action at its last '|', else its first ';'. A row with an earlier one's
-    texts, certificate and premise objects, over an equal clause set, is that
-    row's node, so the kernel checks each distinct subproof once. A block (a row
-    and the deeper rows, or a node dict) equal to an earlier block with premises
-    (line for line, or by ==) under an equal clause set is that block's tree, read once.
-    """
-    def term_step(text):  # f(t), f not vec, with t read before or its '(' closed at the end
-        m = _APPLICATION.match(text)
-        if m and m[1] != "vec" and text[-1] == ")" and (
-                text[m.end():-1] in terms or _top(text, ")", m.end()) == len(text) - 1):
-            return (lambda t: sx.TApp(m[1], t)), text[m.end():-1]
-
-    def action_step(text):  # '|' groups left: its last one; ';' groups right: its first
-        *bars, right = _split_top(text, "|")
-        if bars:
-            return (lambda a: sx.AUnion(a, action(right.strip(" ")))), \
-                text[:-len(right) - 1].strip(" ")
-        if (i := _top(text, ";")) >= 0:
-            return (lambda a: sx.AComp(action(text[:i].strip(" ")), a)), text[i + 1:].strip(" ")
-
-    def sentence_step(text):
-        if m := _PREFIX.match(text):
-            cls, closer = _PREFIXES[m[0]]
-            end = m.end() - 1 if closer is None else _top(text, closer, m.end())
-            if end >= 0:
-                args = ((term if cls is sx.At else action)(text[m.end():end]),) if closer else ()
-                return (lambda s: cls(*args, s) if type(s) in _OPERANDS
-                        else sx.parse_sentence(text)), text[end + 1:].lstrip(" ")
-
-    terms, sentences = {}, {}  # text -> AST, looked up here first on the rows' hot path
-    term = functools.partial(_read, terms, term_step, sx.parse_term)
-    action = functools.partial(_read, {}, action_step, lambda t: sx.ASym(t)
-                               if t.isascii() and t.isidentifier() else sx.parse_action(t))
-    sentence = functools.partial(_read, sentences, sentence_step, sx.parse_sentence)
+    A row with an earlier one's texts, certificate and premise objects, over an
+    equal clause set, is that row's node, so the kernel checks each distinct
+    subproof once. A block (a row and the deeper rows, or a node dict) equal to an
+    earlier block with premises (line for line, or by ==) under an equal clause set
+    is that block's tree, read once. ``syntax.reader`` reads each distinct text once."""
+    terms, term, sentences, sentence = sx.reader()  # looked up first on the rows' hot path
     gamma = tuple(map(sentence, gamma_texts))
     roots, nodes, blocks = [], {}, {}  # nodes: (row, premise objects) -> its latest node
     open_: list[tuple] = []  # per depth: row, conclusion, premises, their gamma, n, first, dict

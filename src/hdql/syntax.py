@@ -24,14 +24,15 @@ Concrete grammar (ASCII)::
               | IDENT ('(' term ')')?                constant / symbol app
 
 Complex literals are written ``a+bi`` with optional parts (``2``, ``1i``,
-``2-3i``, ``-i``). The parser and the printer read each infix operator's
-binding and grouping from one table, ``_INFIX``; loosest first: ``+`` and
-``|``, then ``;``, ``=>`` and ``~>`` (grouping right), ``(+)``, ``/\\``, and
-the prefixes of a second table. One routine reads every infix chain on
-explicit stacks, and loops read prefixes and store binders, so none is bounded
-by the recursion limit; parentheses, applications and scalar multiples still
-recurse once per level. Printing is deterministic (17 significant digits) and
-reparses to a structurally equal AST.
+``2-3i``, ``-i``). The parser, the printer and ``reader`` (which reads printed
+text back, passing only its leaves to the parser) take the operators from three
+tables: ``_INFIX`` (binding and grouping; loosest first ``+`` and ``|``, then
+``;``, ``=>`` and ``~>`` grouping right, ``(+)``, ``/\\``), ``_PREFIX`` and
+``_KEYWORD_FORMS``. One routine reads every infix chain on explicit stacks, and
+loops read prefixes and store binders, so none is bounded by the recursion
+limit; parentheses, applications and scalar multiples still recurse once per
+level. Printing is deterministic (17 significant digits) and reparses to a
+structurally equal AST.
 
 A numeral is the longest run of the form ``(D|.D)[D.]*([eE][+-]?D*)?``,
 where ``D`` is a decimal digit. It must read as ``D+(.D*)?`` or ``.D+``,
@@ -44,6 +45,7 @@ newlines; ``#`` starts a comment that runs to the end of the line.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, fields
 from itertools import product
@@ -60,7 +62,7 @@ __all__ = [
     "substitute", "substitute_term", "desugar", "sasaki_expansion",
     "classify", "classifier", "is_unitary_action", "free_vars", "term_vars", "is_ground",
     "sentence_terms", "subterms", "action_symbols", "sentence_symbols",
-    "walk", "fold", "TERM", "ACTION", "SENTENCE", "ALL",
+    "walk", "fold", "TERM", "ACTION", "SENTENCE", "ALL", "reader",
 ]
 
 
@@ -356,7 +358,7 @@ def _rebuild(n, names, kids):
 # A token is a (kind, text, offset) tuple. Its kind is IDENT, NUM, IMAG (the
 # numeral before an imaginary 'i'), EOF or the punctuation text itself.
 
-_KEYWORDS = {"store", "here", "until", "vec", "span"}
+_IDENT = r"[A-Za-z_][\w']*"  # an ASCII start; the lexer's UNI group takes the others
 # what float() reads: digits with at most one '.', then an exponent with digits;
 # with no exponent, the numeral must not run on into '.', a digit or 'e'
 _NUMERAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|(?![\d.eE]))"
@@ -364,7 +366,7 @@ _TOKEN = re.compile(rf"""
     [ \t\r\n]+ | \#[^\n]*                     # blanks and comments
   | (?P<NUM>{_NUMERAL})(?P<IMAG>i(?![\w']))?
   | (?P<BAD>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d*)?) # any other numeral run
-  | (?P<IDENT>[A-Za-z_][\w']*)
+  | (?P<IDENT>{_IDENT})
   | (?P<UNI>[^\W\d][\w']*)                    # non-ASCII start: checked below
   | (?P<P>/\\|=>|~>|\(\+\)|[][<>(){{}}.,;|*+\-@!~=])
   | (?P<ERR>.)
@@ -602,22 +604,14 @@ class _Parser:
             self.expect(")")
             return s
         if kind == "IDENT":
-            if text == "here":
+            if (form := _KEYWORD_FORMS.get(text)) is not None:
                 self.next()
-                self.expect("(")
-                k = self.term()
+                args = []
+                for opener, read in zip("(,,", form[1]):  # '(' opens the arguments, ',' parts them
+                    self.expect(opener)
+                    args.append(read(self))
                 self.expect(")")
-                return Here(k)
-            if text == "until":
-                self.next()
-                self.expect("(")
-                a = self.action()
-                self.expect(",")
-                s1 = self.sentence()
-                self.expect(",")
-                s2 = self.sentence()
-                self.expect(")")
-                return UntilS(a, s1, s2)
+                return form[0](*args)
             if text in _KEYWORDS:
                 self.fail(f"keyword {text!r} cannot be a proposition")
             self.next()
@@ -630,6 +624,13 @@ class _Parser:
 _PREFIX = {"!": (Not, None, None, None), "~": (QNot, None, None, None),
            "[": (Nec, None, _Parser.action, "]"), "<": (Pos, None, _Parser.action, ">"),
            "@": (At, "(", _Parser.term, ")")}
+# the printed head of each prefix form -> (node class, its argument's reader, its closer)
+_OPENERS = {token + (opener or ""): (cls, read, closer)
+            for token, (cls, opener, read, closer) in _PREFIX.items()}
+# keyword forms 'word(arg, ...)': word -> (node class, its arguments' readers in field order)
+_KEYWORD_FORMS = {"here": (Here, (_Parser.term,)),
+                  "until": (UntilS, (_Parser.action, _Parser.sentence, _Parser.sentence))}
+_KEYWORDS = {"store", "vec", "span", *_KEYWORD_FORMS}  # no proposition has these names
 
 
 def _finish(parser: _Parser, node):
@@ -640,18 +641,15 @@ def _finish(parser: _Parser, node):
 
 
 def parse_sentence(text: str) -> Sentence:
-    p = _Parser(text)
-    return _finish(p, p.sentence())
+    return _finish(p := _Parser(text), p.sentence())
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    return _finish(p, p.term())
+    return _finish(p := _Parser(text), p.term())
 
 
 def parse_action(text: str) -> Action:
-    p = _Parser(text)
-    return _finish(p, p.action())
+    return _finish(p := _Parser(text), p.action())
 
 
 def parse(text: str) -> Sentence:
@@ -674,8 +672,7 @@ def parse_complex(text: str) -> complex:
     """
     m = _COMPLEX.fullmatch(text)
     if m is None:
-        p = _Parser(text)
-        return _finish(p, p.complex_lit())
+        return _finish(p := _Parser(text), p.complex_lit())
     sign = -1.0 if m["neg"] else 1.0
     if m["unit"]:
         return complex(0.0, sign)
@@ -722,23 +719,21 @@ def _infix(token: str, binding: int, right: bool):
     return lambda n, k: (f"{_at(k[0], lo)} {token} {_at(k[1], ro)}", binding)
 
 
-# a node prints as (text, binding): a sum, a union or a store binds 0, and
-# what never needs parentheses binds 5; a child of another sort sits at 0
+# a node prints as (text, binding): a sum, a union or a store binds 0, a prefix
+# binds 4, and what never needs parentheses binds 5; a child of another sort sits at 0
 _PRINT = dict.fromkeys((Name, Var, ASym, Prop), lambda n, k: (n.name, 5)) | {
     cls: _infix(*spec) for cls, spec in _INFIX.items()} | {
+    cls: (lambda n, k, h=head: (h + _at(k[0], 4), 4)) if closer is None else (
+        lambda n, k, h=head, c=closer: (f"{h}{k[0][0]}{c} {_at(k[1], 4)}", 4))
+    for head, (cls, _, closer) in _OPENERS.items()} | {
+    cls: lambda n, k, word=word: (f"{word}({', '.join([text for text, _ in k])})", 5)
+    for word, (cls, _) in _KEYWORD_FORMS.items()} | {
     Origin: lambda n, k: ("0", 5),
     VecLit: lambda n, k: ("vec(" + ", ".join(map(format_complex, n.coords)) + ")", 5),
     TApp: lambda n, k: (f"{n.sym}({k[0][0]})", 5),
     TSmul: lambda n, k: (f"{format_complex(n.scalar)}*{_at(k[0], 1)}", 1),
     AStar: lambda n, k: (_at(k[0], 2) + "*", 2),
-    Here: lambda n, k: (f"here({k[0][0]})", 5),
-    UntilS: lambda n, k: (f"until({k[0][0]}, {k[1][0]}, {k[2][0]})", 5),
     Store: lambda n, k: (f"store {n.var} . {k[0][0]}", 0),
-    Not: lambda n, k: ("!" + _at(k[0], 4), 4),
-    QNot: lambda n, k: ("~" + _at(k[0], 4), 4),
-    Nec: lambda n, k: (f"[{k[0][0]}] {_at(k[1], 4)}", 4),
-    Pos: lambda n, k: (f"<{k[0][0]}> {_at(k[1], 4)}", 4),
-    At: lambda n, k: (f"@({k[0][0]}) {_at(k[1], 4)}", 4),
 }
 
 
@@ -752,6 +747,101 @@ def format_term(node, memo: dict | None = None) -> str:
 
 
 format_action = format_sentence = format_term  # one printer for every sort
+
+
+# ------------------------------------------------------ reading printed text
+
+_BRACKET = re.compile(r"[][(){}]")
+_ROUND = str.maketrans("[]{}", "()()")
+
+
+def _top(text: str, mark: str, start: int = 0) -> int:
+    """The first index of ``mark`` in text[start:] outside parentheses, or -1;
+    a ')' found there closes a '(' opened before start."""
+    depth = 0
+    while (j := text.find(mark, start)) >= 0:
+        if (depth := depth + text.count("(", start, j) - text.count(")", start, j)) == 0:
+            return j
+        depth, start = depth - (mark == ")"), j + 1
+    return -1
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split on a separator, ignoring separators inside brackets."""
+    if not _BRACKET.search(text):
+        return text.split(sep)
+    cuts, round_ = [-1], text.translate(_ROUND)
+    while (i := _top(round_, sep, cuts[-1] + 1)) >= 0:
+        cuts.append(i)
+    return [text[i + 1:j] for i, j in zip(cuts, cuts[1:] + [len(text)])]
+
+
+_APPLICATION = re.compile(rf"({_IDENT})\(")  # the 'f(' of f(t)
+_OPENER = re.compile("|".join(map(re.escape, _OPENERS)))
+_OPERANDS = frozenset(Sentence.__args__) - _INFIX.keys() - {Store}  # bind as tight as a prefix
+_ACTION_OPS = [(cls, token, right) for cls, (token, _, right)  # loosest first
+               in sorted(_INFIX.items(), key=lambda op: op[1][1]) if cls in Action.__args__]
+_MAX_PEEL = 64  # steps per text, each storing a rest: memory linear in the text
+
+
+def _read(table: dict, step, parse, text: str):
+    """A text's AST: ``step`` peels (build, rest) off it, at most _MAX_PEEL times,
+    until the rest is in ``table`` or read by ``parse``; then ``build`` makes each
+    text's AST, stored, from its rest's. '#' or an unread piece: parse it whole."""
+    if (value := table.get(text)) is not None:
+        return value
+    pending, rest = [], text
+    try:
+        while ((value := table.get(rest)) is None and "#" not in text
+               and len(pending) < _MAX_PEEL and (s := step(rest))):
+            pending.append((rest, s[0]))
+            rest = s[1]
+        value = table[rest] = parse(rest) if value is None else value
+        for rest, build in reversed(pending):
+            value = table[rest] = build(value)
+    except (ParseError, RecursionError):
+        value = table[text] = parse(text)
+    return value
+
+
+def reader():
+    """(terms, term, sentences, sentence): readers of printed terms and sentences, such as
+    a trace's, and their tables (text -> AST), which a hot path reads first. Each distinct
+    text is read once, split at the printer's forms by tables derived from the parser's, so
+    that equal sub-texts are one AST object and only leaves reach the parser: f(t) (f not
+    vec) over t; a prefix form over a body that binds as tight as a prefix; an action at
+    its loosest operator, the first if it groups right, else the last."""
+    def term_step(text):  # f(t), f not vec, with t read before or its '(' closed at the end
+        m = _APPLICATION.match(text)
+        if m and m[1] != "vec" and text[-1] == ")" and (
+                text[m.end():-1] in terms or _top(text, ")", m.end()) == len(text) - 1):
+            return (lambda t: TApp(m[1], t)), text[m.end():-1]
+
+    def action_step(text):  # at the loosest operator: its first if it groups right, else its last
+        for cls, token, right in _ACTION_OPS:
+            if right and (i := _top(text, token)) >= 0:
+                return ((lambda a: cls(action(text[:i].strip(" ")), a)),
+                        text[i + len(token):].strip(" "))
+            if not right and len(parts := _split_top(text, token)) > 1:
+                return ((lambda a: cls(a, action(parts[-1].strip(" ")))),
+                        text[:-len(parts[-1]) - len(token)].strip(" "))
+
+    def sentence_step(text):
+        if m := _OPENER.match(text):
+            cls, read, closer = _OPENERS[m[0]]
+            end = m.end() - 1 if closer is None else _top(text, closer, m.end())
+            if end >= 0:
+                args = () if read is None else (readers[read](text[m.end():end]),)
+                return (lambda s: cls(*args, s) if type(s) in _OPERANDS
+                        else parse_sentence(text)), text[end + 1:].lstrip(" ")
+
+    terms, sentences = {}, {}
+    term = functools.partial(_read, terms, term_step, parse_term)
+    action = functools.partial(_read, {}, action_step, lambda t: ASym(t)
+                               if t.isascii() and t.isidentifier() else parse_action(t))
+    sentence = functools.partial(_read, sentences, sentence_step, parse_sentence)
+    readers = {_Parser.term: term, _Parser.action: action}
+    return terms, term, sentences, sentence
 
 
 # --------------------------------------------------- variables and scope

@@ -411,7 +411,9 @@ class TestSentenceReading:
         ["[|a] p"], ["<a => b> p"], ["@((v0) p"], ["@(v0)) p"], ["[a] p q"], ["!~p"],
         ["p (+) q", "[a] p (+) q"], ["[a] (+) p"], ["[a] [b] p => q"], ["@(v0) here(v0)"],
         ["@(2*v0 + v1) p"], ["@(f(v0) + g(v1)) [a*] !p"], ["[a]\tp"], ["[a]\x0cp"],
-        ["[a\u00b7] p"], ["[a\x0c; b] p"], ["[a |\x0cb] p"]],
+        ["[a\u00b7] p"], ["[a\x0c; b] p"], ["[a |\x0cb] p"],
+        ["!p"], ["~p"], ["[a] p"], ["<b> p"], ["@(v0) p"], ["here(v0)"], ["until(a, p, q)"],
+        ["[a | b | c] p"], ["[a | (b | c)] p"], ["[a ; b ; c] p"], ["[(a ; b) ; c] p"]],
         ids=repr)
     def test_edge_cases(self, texts):
         assert_goals_read_as_parsed(texts)

@@ -332,3 +332,16 @@ class TestVectorRange:
 
     def test_a_norm_just_below_the_overflow_is_a_state(self):
         assert np.isfinite(hl.norm(hl.vector([1e153, 1e153j])))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_vector_table_refuses_what_vector_refuses_and_keeps_its_rows(self):
+        for add in (lambda t, v: t.add(v), lambda t, v: t.find_or_add(v)):
+            table = hl.VectorTable(2, vectors=[K1])
+            for v, message in ((np.array([1e200, 0j]), "state vector's norm overflows"),
+                               (np.array([1e155, 1e155j]), "state vector's norm overflows"),
+                               (np.array([np.nan, 0j]), "state vector has non-finite entries"),
+                               (np.array([1, np.inf * 1j]), "state vector has non-finite entries")):
+                with pytest.raises(HdqlError, match=message):
+                    add(table, v)
+            assert np.array_equal(table.rows, [K1]) and table.find(K0) == -1
+            assert table.find_or_add(K0) == (1, True) and table.find(K0 + 1e-12) == 1
