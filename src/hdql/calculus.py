@@ -265,8 +265,6 @@ def check_proof(sig: SignatureInstance, tree: ProofTree,
             continue
         try:
             bad = _check_node(sig, t, budget, place, memo)
-        except BudgetExceeded as e:
-            return CheckResult(False, (), f"budget exceeded: {e}")
         except HdqlError as e:
             bad = _bad(place, f"{t.rule.value}: {e}")
         if bad is not None:

@@ -44,9 +44,9 @@ EXIT_INTERNAL = 70
 @dataclass(frozen=True)
 class RunFlags:
     tolerance: float = DEFAULT_TOL
-    star_bound: int = 64
+    star_bound: int = StarBudget.max_iterations
     depth: int = 6
-    budget: int = 10 ** 6
+    budget: int = SearchBudget.max_nodes
     format: str = "text"
 
     def search_budget(self) -> SearchBudget:
@@ -171,17 +171,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("specfile", help="problem file")
-        p.add_argument("--tolerance", type=tolerance, default=DEFAULT_TOL)
-        p.add_argument("--star-bound", type=count, default=64)
+        p.add_argument("--tolerance", type=tolerance, default=RunFlags.tolerance)
+        p.add_argument("--star-bound", type=count, default=RunFlags.star_bound)
 
     p_check = sub.add_parser("check", help="prove the GOAL lines of the file")
     common(p_check)
-    p_check.add_argument("--budget", type=count, default=10 ** 6)
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--goal", type=int, default=None,
-                         help="1-based index of a single goal to check")
-    p_check.add_argument("--trace", default=None,
-                         help="write the proof trace(s) to this path")
+    p_check.add_argument("--budget", type=count, default=RunFlags.budget)
+    p_check.add_argument("--format", choices=("text", "json"), default=RunFlags.format)
+    p_check.add_argument("--goal", type=int, help="1-based index of a single goal to check")
+    p_check.add_argument("--trace", help="write the proof trace(s) to this path")
 
     p_eval = sub.add_parser("eval", help="evaluate a sentence at a state")
     common(p_eval)
@@ -191,8 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_init = sub.add_parser("initial",
                             help="build the initial model of the axioms")
     common(p_init)
-    p_init.add_argument("--depth", type=count, default=6)
-    p_init.add_argument("--budget", type=count, default=10 ** 6)
+    p_init.add_argument("--depth", type=count, default=RunFlags.depth)
+    p_init.add_argument("--budget", type=count, default=RunFlags.budget)
 
     p_re = sub.add_parser("recheck",
                           help="re-run the kernel on a serialized trace")

@@ -28,7 +28,7 @@ traces serialize to a line-oriented indented tree, one place per line
 JSON mirror of the same fields; both round-trip exactly. Both writers share
 one pre-order walk and write a shared subproof again by copying its first block;
 one decoder rebuilds the tree, sharing equal subtrees, and reads each repeated
-block, of text rows or JSON, once; ``syntax.reader`` reads the texts of its rows.
+block, of text rows or JSON (by an exact ==), once; ``syntax.reader`` reads texts.
 JSON traces are written compact on one line; indented JSON is still read.
 """
 
@@ -441,7 +441,7 @@ def _build(gamma_texts, records) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
             close(n)
         d, start, size, tree, source = blocks.get(first, _NO_BLOCK)
         if tree and 0 < d and depth == len(open_) and tree.conclusion.gamma == open_[-1][3] and (
-                (records.exact and node == source) if rows is None  # a copy of the block's dict
+                source == node if rows is None  # a copy of the block's dict, _JsonInt.__eq__ first
                 else d == depth and rows[n + 1:n + size] == rows[start + 1:start + size]
                 and (n + size == len(rows)  # the line after its lines is no deeper
                      or not rows[n + size].startswith("  " * depth + "  "))):
@@ -502,6 +502,12 @@ def deserialize_trace(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     return _build([c.strip() for c in lines[2:2 + n]], _TextRows(rows))
 
 
+class _JsonInt(int):  # a JSON integer, == only to another, as JSON tells 1 from true and 1.0
+    __eq__ = lambda self, other: type(other) is _JsonInt and int.__eq__(self, other)
+    __ne__ = lambda self, other: not self == other
+    __hash__ = int.__hash__
+
+
 def _json_fields(node, depth: int) -> tuple:  # a node dict's record but its depth
     if not (isinstance(node, dict) and isinstance(node.get("premises"), list)
             and isinstance(rule := node.get("rule"), str)
@@ -509,17 +515,16 @@ def _json_fields(node, depth: int) -> tuple:  # a node dict's record but its dep
             and isinstance(goal := node.get("goal"), str)):
         raise HdqlError(f"a proof node at depth {depth} lacks string 'rule', "
                         "'term' and 'goal' or list 'premises'")
-    if (cert := node.get("certificate")) is not None and type(cert) is not int:
+    if (cert := node.get("certificate")) is not None and type(cert) is not _JsonInt:
         raise HdqlError(f"certificate {cert!r} is not a whole number")
-    return rule, term, goal, cert
+    return rule, term, goal, None if cert is None else int(cert)  # the kernel takes an int
 
 
 @dataclass
 class _JsonNodes:
     """A JSON trace's root node dict; iterated, its records. _build walks the dicts
-    itself, to take a block's copy by ==; exact: no float or bool, == takes for an int."""
+    itself, to take a copy of a block's dict by ==, exact over _JsonInt integers."""
     proof: object
-    exact: bool
 
     def __iter__(self):
         stack = [(self.proof, 0)]
@@ -531,16 +536,14 @@ class _JsonNodes:
 
 def trace_from_json(text: str) -> tuple[tuple[sx.Sentence, ...], ProofTree]:
     """Rebuild (clause set, proof tree) from the JSON mirror, compact or indented,
-    each repeated subtree read once."""
-    floats = []  # == takes 1.0 and true for 1: a trace with either is read node by node
+    each repeated subtree read once: integers read as _JsonInt keep == exact."""
     try:
-        doc = json.loads(text, parse_float=lambda s: floats.append(s) or float(s))
+        doc = json.loads(text, parse_int=_JsonInt)
     except (ValueError, RecursionError) as e:
         raise HdqlError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict) or type(version := doc.get("version")) is not int or version != 1:
+    if not isinstance(doc, dict) or _JsonInt(1) != doc.get("version"):
         raise HdqlError("not a version-1 JSON trace")
     gamma = doc.get("gamma")
     if not isinstance(gamma, list) or not all(isinstance(c, str) for c in gamma):
         raise HdqlError("'gamma' is not a list of sentence strings")
-    exact = not floats and "true" not in text and "false" not in text
-    return _build(gamma, _JsonNodes(doc.get("proof"), exact))
+    return _build(gamma, _JsonNodes(doc.get("proof")))

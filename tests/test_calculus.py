@@ -22,6 +22,8 @@ from hdql.syntax import (And, At, Imp, Name, Nec, Origin, Prop, QImp, TApp,
                          TSmul, TSum, VecLit, parse, parse_term)
 
 K0, K1 = hl.basis_state(2, 0), hl.basis_state(2, 1)
+ROTATION = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos",
+                        "rotation.hdql")
 
 
 def qubit_sig(closed=("r",)):
@@ -337,6 +339,30 @@ class TestKernelRejections:
                          RuleId.CONJ_I, (good, bad_leaf))
         res = check_proof(sig, root)
         assert not res.ok and res.path == (1,)
+
+    @pytest.mark.parametrize("case, reason", [
+        ("translation", "Translation: conclusion is not the renamed premise"),
+        ("origin", "Origin: term does not denote the origin vector"),
+        ("star budget", "StarI: successor orbit does not close within budget"),
+    ])
+    def test_a_bad_root_over_the_rotation_demo_is_rejected_with_its_reason(self, case, reason):
+        spec = load_spec(ROTATION)
+        sig, v0, v1, r = spec.sig, Name("v0"), Name("v1"), Prop("r")
+        budget = StarBudget()
+        if case == "translation":
+            leaf = ProofTree(Sequent((r,), v0, r), RuleId.MONOTONICITY)
+            good = ProofTree(Sequent((r,), v0, r), RuleId.TRANSLATION, (leaf,),
+                             sg.identity_morphism(sig))
+            tree = ProofTree(Sequent((r,), v1, r), RuleId.TRANSLATION, (leaf,),
+                             sg.identity_morphism(sig))
+        elif case == "origin":
+            good = ProofTree(Sequent((), Origin(), r), RuleId.ORIGIN)
+            tree = ProofTree(Sequent((), v0, r), RuleId.ORIGIN)
+        else:
+            good = tree = ProofSession(sig, spec.axioms).prove(*spec.goals[0]).tree
+            budget = StarBudget(1)
+        assert check_proof(sig, good).ok
+        assert check_proof(sig, tree, budget) == CheckResult(False, (), reason)
 
 
 class TestNoCut:

@@ -13,6 +13,9 @@ from conftest import teleport_spec_text
 from hdql.cli import main
 from hdql.specfile import MAX_SPACE
 
+ROTATION = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos",
+                        "rotation.hdql")
+
 SMALL = """\
 SPACE 2
 VECTORS
@@ -124,7 +127,7 @@ class TestCheck:
         assert code == 65
         assert "malformed trace" in output
 
-    @pytest.mark.parametrize("version", ["true", "1.0", "2"])
+    @pytest.mark.parametrize("version", ["true", "1.0", "2", '"1"'])
     def test_a_json_version_that_is_not_the_whole_number_1_exits_65(self, tmp_path, version):
         path = tmp_path / "small.hdql"
         path.write_text(SMALL)
@@ -137,6 +140,20 @@ class TestCheck:
         trace.write_text(doc.replace('"version": 1', f'"version": {version}', 1))
         code, output = run(["recheck", str(path), str(trace)])
         assert (code, output) == (65, "malformed trace: not a version-1 JSON trace\n")
+
+    @pytest.mark.parametrize("cert, shown", [
+        ("true", "True"), ("1.0", "1.0"), ("1e0", "1.0"), ("[1]", "[1]"),
+        ('{"a": 2}', "{'a': 2}"), ('"3"', "'3'")])
+    def test_a_json_certificate_that_is_not_a_whole_number_exits_65(self, tmp_path, cert,
+                                                                    shown):
+        trace = tmp_path / "proof.json"
+        code, _ = run(["check", ROTATION, "--format", "json", "--trace", str(trace)])
+        assert code == 0 and run(["recheck", ROTATION, str(trace)]) == (0, "trace checks\n")
+        doc = trace.read_text()
+        assert doc.count('"certificate": 7') == 1
+        trace.write_text(doc.replace('"certificate": 7', f'"certificate": {cert}'))
+        assert run(["recheck", ROTATION, str(trace)]) == (
+            65, f"malformed trace: certificate {shown} is not a whole number\n")
 
     def forged(self, tmp_path, name, trace):
         path = tmp_path / "teleport.hdql"
@@ -385,6 +402,26 @@ class TestErrorPaths:
         code, output = run(["check", str(path)])
         assert code == 65
         assert "SPACE" in output
+
+    @pytest.mark.parametrize("argv, text, code, output", [
+        (["recheck", ROTATION, "{file}"], "HDQL-TRACE 2\ngamma 0\nproof\n", 65,
+         "malformed trace: not a version-1 trace\n"),
+        (["recheck", ROTATION, "{file}"], "HDQL-TRACE 1\ngamma x\nproof\n", 65,
+         "malformed trace: missing gamma header\n"),
+        (["recheck", ROTATION, "{file}"], None, 66, "cannot read {file}: "),
+        (["check", ROTATION, "--goal", "9"], None, 64, "no goal 9: the file has 1\n"),
+        (["check", "{file}"], "SPACE 2\nPROPS\n  p\n", 65, "the file has no GOAL lines\n"),
+        (["eval", ROTATION, "--at", "u0(", "--sentence", "r"], None, 65,
+         "argument error: 1:4: expected a term\n"),
+    ], ids=["trace-version", "trace-gamma", "trace-missing", "goal-index", "no-goals",
+            "eval-term"])
+    def test_each_exit_path_prints_its_message(self, tmp_path, argv, text, code, output):
+        file = str(tmp_path / "input")
+        if text is not None:
+            (tmp_path / "input").write_text(text)
+        got_code, got = run([arg.format(file=file) for arg in argv])
+        assert got_code == code and got.startswith(output.format(file=file)), got
+        assert got.count("\n") == 1
 
     def test_usage_error_exits_64(self):
         code, _ = run(["check"])  # missing the spec file argument

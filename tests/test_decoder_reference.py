@@ -684,6 +684,19 @@ class TestJsonBlockReuse:
         assert message.startswith("HdqlError: certificate ") and "is not a whole number" in message
         assert decode_by_reference(forged) == message
 
+    def test_a_clause_set_that_names_true_keeps_one_read_per_distinct_node(self, monkeypatch):
+        sig, trace = star_json(24)
+        doc = json.loads(trace)
+        doc["gamma"].append("@(v0) trueish")
+        forged = json.dumps(doc)
+        read = opened(monkeypatch)
+        _, back = decode(forged)
+        assert len(read) == len(set(proof_nodes(back))) == 1 + 24 + 6
+        monkeypatch.undo()
+        assert shape(back) == shape(decode(trace)[1])
+        _, verdict = assert_same_decodes(sig, forged)
+        assert verdict.ok
+
     def test_indented_json_decodes_to_the_same_dag(self):
         for sig, trace in (star_json(12), rotation_json()):
             (gamma, tree), (_, again) = decode(trace), decode(json.dumps(json.loads(trace),
