@@ -448,6 +448,10 @@ class ProveResult:
     def holds(self) -> bool:
         return self.status == "holds"
 
+    @property
+    def used_premises(self) -> tuple[sx.Sentence, ...]:  # the compactness witness
+        return () if self.tree is None else used_premises(self.tree)
+
 
 # an implication class -> (its introduction, its modus ponens)
 _IMPLICATION = {Imp: (RuleId.IMP, RuleId.MP), QImp: (RuleId.IMP_C, RuleId.MP_C)}
@@ -958,12 +962,16 @@ def prove(sig: SignatureInstance, gamma, k: sx.Term, goal: sx.Sentence,
 # --------------------------------------------------- proof-object utilities
 
 def used_premises(t: ProofTree) -> tuple[sx.Sentence, ...]:
-    """The clause-set members actually consumed by Monotonicity nodes."""
+    """The clause-set members consumed by Monotonicity nodes, each place once."""
     out: dict[sx.Sentence, None] = {}  # in pre-order of first use
-    for node, added in walk_proof(
-            t, (), lambda node, added: added + premise_hypotheses(node.rule, node.conclusion)):
-        if node.rule is RuleId.MONOTONICITY and node.conclusion.goal not in added:
-            out.setdefault(node.conclusion.goal)
+    seen, stack = {}, [(t, ())]  # seen: place -> itself; a place is (node, hypotheses)
+    while stack:
+        if seen.setdefault(place := stack.pop(), place) is place:  # not walked before
+            node, added = place
+            if node.rule is RuleId.MONOTONICITY and node.conclusion.goal not in added:
+                out.setdefault(node.conclusion.goal)
+            added += premise_hypotheses(node.rule, node.conclusion)
+            stack += [(p, added) for p in reversed(node.premises)]
     return tuple(out)
 
 

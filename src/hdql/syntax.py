@@ -1,10 +1,11 @@
 """ASTs and concrete syntax for terms, actions and sentences.
 
-AST nodes are immutable, slotted dataclasses that compare by structure and
-compute their hash once: the first ``hash`` walks the fields, later ones
-read a slot, so keying a dict by a deep term costs no tree walk. Each node
-class records which fields hold terms, actions or sentences, and every
-traversal goes through those child fields with one of two routines on
+AST nodes are immutable, slotted dataclasses that compare by structure. A
+``_hash`` slot caches each node's hash, so keying a dict by a deep term costs
+no tree walk; a sentence has two more, ``_desugared`` and ``_kind`` (see
+``desugar`` and ``classifier``). Pickles and copies carry the fields only.
+Each node class records which fields hold terms, actions or sentences, and
+every traversal goes through those child fields with one of two routines on
 explicit stacks, so depth is not bounded by the recursion limit: ``walk``
 yields nodes in pre-order, and ``fold`` computes a value bottom-up from a
 table with one entry per node class.
@@ -73,6 +74,10 @@ class _Node:
     __slots__ = ("_hash",)
 
 
+class _Sentence(_Node):
+    __slots__ = ("_desugared", "_kind")  # what desugar and a classifier cache
+
+
 # the sorts of child fields, as bits: a traversal names the sorts it descends
 TERM, ACTION, SENTENCE = 1, 2, 4
 ALL = TERM | ACTION | SENTENCE
@@ -84,9 +89,9 @@ def _node(cls):
 
     The hash covers the class name and the generated field-tuple hash, so
     ``And(p, q)`` and ``Imp(p, q)`` differ; the ``_hash`` slot stores it on
-    first use, so a dict lookup no longer walks the tree. Pickling and
-    copying carry the fields only: a node loaded under another
-    ``PYTHONHASHSEED`` computes its hash afresh. ``_kids[sorts]`` names the
+    first use, so a dict lookup no longer walks the tree. Pickling and copying
+    carry the fields only, no slot: a node loaded under another ``PYTHONHASHSEED``
+    computes its hash afresh, a sentence its caches too. ``_kids[sorts]`` names the
     child fields of the given sorts; ``_push[sorts]`` in stack order.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
@@ -187,12 +192,12 @@ Action = ASym | AComp | AUnion | AStar
 # ------------------------------------------------------------ sentences
 
 @_node
-class Prop(_Node):
+class Prop(_Sentence):
     name: str
 
 
 @_node
-class Here(_Node):
+class Here(_Sentence):
     """True exactly at the state denoted by the term (nominal-as-sentence).
 
     Extension beyond the core grammar: needed so a stored state name can
@@ -202,74 +207,74 @@ class Here(_Node):
 
 
 @_node
-class At(_Node):
+class At(_Sentence):
     """Retrieve: evaluate the body at the state named by the term."""
     term: Term
     body: Sentence
 
 
 @_node
-class And(_Node):
+class And(_Sentence):
     left: Sentence
     right: Sentence
 
 
 @_node
-class Not(_Node):
+class Not(_Sentence):
     """Classical negation."""
     body: Sentence
 
 
 @_node
-class QNot(_Node):
+class QNot(_Sentence):
     """Quantum negation: orthocomplement of the extension."""
     body: Sentence
 
 
 @_node
-class Nec(_Node):
+class Nec(_Sentence):
     """Necessity along an action."""
     action: Action
     body: Sentence
 
 
 @_node
-class Pos(_Node):
+class Pos(_Sentence):
     """Possibility; sugar for 'not nec not'."""
     action: Action
     body: Sentence
 
 
 @_node
-class Store(_Node):
+class Store(_Sentence):
     """Bind the current state to a variable."""
     var: str
     body: Sentence
 
 
 @_node
-class Imp(_Node):
+class Imp(_Sentence):
     """Classical implication; kept primitive for the proof rules."""
     left: Sentence
     right: Sentence
 
 
 @_node
-class QImp(_Node):
+class QImp(_Sentence):
     """Sasaki hook; kept primitive for the proof rules."""
     left: Sentence
     right: Sentence
 
 
 @_node
-class OPlus(_Node):
+class OPlus(_Sentence):
     """Quantum disjunction; sugar."""
     left: Sentence
     right: Sentence
 
 
 @_node
-class UntilS(_Node):
+class UntilS(_Sentence):
     """Until along an action; sugar."""
     action: Action
     first: Sentence
@@ -914,11 +919,16 @@ _DESUGAR = {
     OPlus: lambda s, kids: QNot(And(QNot(kids[0]), QNot(kids[1]))),
     UntilS: _desugar_until,
 }
+_SUGAR_FREE = object()  # a marker, not the node itself, so that no reference cycle forms
 
 
 def desugar(s: Sentence) -> Sentence:
-    """Expand possibility, quantum disjunction and until; keep => and ~>."""
-    return fold(s, _DESUGAR, SENTENCE)
+    """Expand possibility, quantum disjunction and until; keep => and ~>; cached."""
+    if (d := getattr(s, "_desugared", None)) is None:
+        d = fold(s, _DESUGAR, SENTENCE)
+        object.__setattr__(s, "_desugared", _SUGAR_FREE if d is s else d)
+        object.__setattr__(d, "_desugared", _SUGAR_FREE)
+    return s if d is _SUGAR_FREE else d
 
 
 # ----------------------------------------------------------- classification
@@ -964,15 +974,22 @@ _CLASSIFY_EARLY = dict.fromkeys((Here, Not, Pos, UntilS), lambda s: _NOTHING)
 
 def classifier(closed_props: frozenset[str] | set[str],
                measurements: frozenset[str] | set[str]):
-    """:func:`classify` over one signature, as a function of the sentence,
-    with its fold table built once. Sugar classifies as its expansion."""
+    """:func:`classify` over one signature, with its fold table built once; a
+    kind it caches on a sentence only it reads back. Sugar classifies as its expansion."""
     table = _CLASSIFY | {
         Prop: lambda s, kids: _KINDS[True, s.name in closed_props, True],
         Nec: lambda s, kids: _KINDS[
             kids[0].is_basic, kids[0].is_closed and is_unitary_action(s.action, measurements),
             kids[0].is_quantum_clause],
     }
-    return lambda s: fold(s, table, SENTENCE, _CLASSIFY_EARLY)
+
+    def kind(s: Sentence) -> Kind:
+        owner, k = getattr(s, "_kind", (None, None))
+        if owner is not table:
+            k = fold(s, table, SENTENCE, _CLASSIFY_EARLY)
+            object.__setattr__(s, "_kind", (table, k))
+        return k
+    return kind
 
 
 def classify(s: Sentence, closed_props: frozenset[str] | set[str],

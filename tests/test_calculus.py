@@ -460,6 +460,25 @@ class TestProofWalks:
     def test_used_premises_on_a_3000_deep_chain(self):
         assert used_premises(eq_chain(3000)) == (Prop("p"),)
 
+    def test_used_premises_visits_each_node_once_per_clause_set(self):
+        # the 61-node DAG of TestProofSize: each node holds its premise twice
+        seq = Sequent((Prop("p"),), Name("v0"), Prop("p"))
+        tree = ProofTree(seq, RuleId.MONOTONICITY)
+        for _ in range(60):
+            tree = ProofTree(seq, RuleId.CONJ_I, (tree, tree))
+        start = time.perf_counter()
+        assert used_premises(tree) == (Prop("p"),)
+        assert time.perf_counter() - start < 1
+
+    def test_a_prove_result_reports_its_used_premises(self):
+        sig = qubit_sig()
+        gamma = [parse("p => q"), parse("p"), parse("@(v1) r")]
+        held = prove(sig, gamma, parse_term("v0"), parse("q /\\ p"))
+        assert held.holds and held.used_premises == used_premises(held.tree)
+        assert set(held.used_premises) == {parse("p => q"), parse("p")}
+        failed = prove(sig, gamma, parse_term("v0"), parse("r2"))
+        assert failed.tree is None and failed.used_premises == ()
+
     def test_same_order_as_the_recursive_walks(self, teleport):
         sig, axioms, start, goal = teleport
         trees = [prove(sig, axioms, start, goal).tree]

@@ -1,5 +1,6 @@
 """Parser, printer, substitution, desugaring and kind classification."""
 
+import copy
 import os
 import pickle
 import re
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 from hdql import syntax as sx
+from hdql.calculus import ProofSession
 from hdql.errors import ParseError
+from hdql.signature import SignatureInstance, classify_in
+from hdql.specfile import load_spec, serialize_trace, trace_to_json
 from hdql.syntax import (
     AComp, ASym, AStar, AUnion, And, At, Here, Imp, Name, Nec, Not, OPlus,
     Origin, Pos, Prop, QImp, QNot, Store, TApp, TSmul, TSum, UntilS, Var,
@@ -562,3 +566,81 @@ class TestHashOnce:
         assert out[:2] == [b"found", b"True"]
         assert int(out[2]) != hash(node)  # str hashes differ between the two seeds
 
+
+def _two_sigs():
+    """Two signatures that differ only in whether r is closed."""
+    return [SignatureInstance(dim=1, unitaries={}, measurements={}, named_vectors={},
+                              props=frozenset({"p", "r"}), closed_props=frozenset(closed))
+            for closed in ({"r"}, ())]
+
+
+def _caches(node):
+    return [getattr(node, slot, None) for slot in ("_desugared", "_kind")]
+
+
+class TestSentenceCaches:
+    def test_desugar_twice_gives_the_same_object_equal_to_a_fresh_fold(self):
+        for text, sugar_free in (("<u0> p (+) until(u1, q, p)", False),
+                                 ("@(w0) [u0 ; u1*] (p => (q ~> ~p))", True)):
+            s = sx.parse(text)
+            first = sx.desugar(s)
+            assert sx.desugar(s) is first and sx.desugar(first) is first
+            assert (first is s) == sugar_free
+            fresh = sx.desugar(sx.parse(text))  # a new object, so a fold
+            assert fresh is not first and fresh == first
+
+    def test_one_sentence_under_two_signatures_gets_each_ones_kind(self):
+        closed, open_ = _two_sigs()
+        for s in (sx.parse("[u0] r"), sx.parse("r ~> r")):
+            want = {sig: sx.classify(s, sig.closed_props, ()) for sig in (closed, open_)}
+            assert want[closed] != want[open_]
+            for sig in (closed, open_, closed, closed, open_, open_, closed):
+                assert classify_in(sig, s) == want[sig]
+
+    def test_pickles_and_copies_carry_no_cache(self):
+        closed, _ = _two_sigs()
+        node = sx.parse("[u0] r ~> <u0> r")
+        sx.desugar(node), classify_in(closed, node)
+        assert None not in _caches(node)
+        for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+            assert copied is not node and copied == node
+            assert _caches(copied) == [None, None]
+            assert classify_in(closed, copied) == classify_in(closed, node)
+
+    def test_a_pickled_sentence_is_desugared_and_classified_afresh_under_another_seed(self):
+        closed, _ = _two_sigs()
+        text = "@(u0(w0)) [u0] (r (+) r) ~> <u0> r"
+        node = sx.parse(text)
+        kind = classify_in(closed, sx.desugar(node))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(sx.__file__)))
+        child = ("import pickle, sys\n"
+                 "from hdql import syntax as sx\n"
+                 "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+                 "empty = all(getattr(n, c, None) is None for n in sx.walk(loaded, sx.SENTENCE)\n"
+                 "            for c in ('_desugared', '_kind'))\n"
+                 "d = sx.desugar(loaded)\n"
+                 "print(empty, d == sx.desugar(sx.parse(sys.argv[1])), sx.classify(d, {'r'}, ()))\n")
+        out = subprocess.run([sys.executable, "-c", child, text], input=pickle.dumps(node),
+                             env=env, capture_output=True, check=True, timeout=60).stdout.decode()
+        assert out.split(" ", 2) == ["True", "True", f"{kind!r}\n"]
+
+    def test_two_sessions_over_the_same_spec_write_the_same_traces(self):
+        demos = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
+        written = 0
+        for name in sorted(os.listdir(demos)):
+            if not name.endswith(".hdql"):
+                continue
+            spec = load_spec(os.path.join(demos, name))
+            for term, goal in spec.goals:
+                traces = []
+                for _ in range(2):
+                    result = ProofSession(spec.sig, spec.axioms).prove(term, goal)
+                    if result.tree is not None:
+                        gamma = result.tree.conclusion.gamma
+                        traces.append((serialize_trace(gamma, result.tree),
+                                       trace_to_json(gamma, result.tree)))
+                assert len(traces) in (0, 2) and traces[:1] == traces[1:]
+                written += len(traces)
+        assert written == 8  # teleport, rotation and two of star_clause's three goals
