@@ -2,11 +2,11 @@
 
 A model is a validated signature plus a valuation: non-closed propositions
 get finite vector sets, closed propositions get subspaces. ``sat_at``
-evaluates pointwise; ``closed_extension`` computes the subspace denoted by
-a closed sentence. Star over a unitary action inside a closed sentence is
-computed by an exact greatest-fixpoint iteration on subspaces; any other
-star is handled by ``orbit``, and budget exhaustion is reported rather than
-silently truncated.
+recurses over a sentence at a state; ``closed_extension`` folds a closed
+sentence into its subspace, and ``successors`` follows an action's paths
+from a work list. Star in a closed sentence is an exact greatest fixpoint
+on subspaces (``_preimage`` recurses over actions); any other star is
+handled by ``orbit``, and budget exhaustion is reported, not truncated.
 
 Every star orbit stops by one rule, which the prover, the saturation of
 star facts and the proof kernel read too: it ends at the first round that
@@ -17,6 +17,7 @@ at the first round with an incomplete inner step (it can no longer close).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -93,25 +94,27 @@ def successors(model: QuantumModel, a: sx.Action, w: np.ndarray,
     sig = model.sig
     if w.shape[0] != sig.dim:
         raise DimensionMismatch(f"state of dim {w.shape[0]} in space of dim {sig.dim}")
-    if isinstance(a, sx.ASym):
+    if type(a) is sx.ASym:  # every orbit's usual body: no work list
         return SuccessorSet([apply_symbol(sig, a.name, w)])
-    if isinstance(a, sx.AComp):
-        first = successors(model, a.left, w, budget)
-        out, complete = [], first.complete
-        for v in first.vectors:
-            rest = successors(model, a.right, v, budget)
-            out.extend(rest.vectors)
-            complete = complete and rest.complete
-        return SuccessorSet(out, complete)
-    if isinstance(a, sx.AUnion):
-        left = successors(model, a.left, w, budget)
-        right = successors(model, a.right, w, budget)
-        return SuccessorSet(left.vectors + right.vectors,
-                            left.complete and right.complete)
-    if isinstance(a, sx.AStar):
-        states, _, complete = orbit(model, a.body, w, budget)
-        return SuccessorSet(states, complete)
-    raise TypeError(f"not an action: {a!r}")
+    # (state, action, the actions after it as (first, rest) pairs), depth first: in path order
+    todo, out, complete = [(w, a, (None, None))], [], True
+    while todo:
+        v, a, rest = todo.pop()
+        if a is None:
+            out.append(v)
+        elif isinstance(a, sx.ASym):
+            todo.append((apply_symbol(sig, a.name, v), *rest))
+        elif isinstance(a, sx.AComp):
+            todo.append((v, a.left, (a.right, rest)))
+        elif isinstance(a, sx.AUnion):
+            todo += (v, a.right, rest), (v, a.left, rest)
+        elif isinstance(a, sx.AStar):
+            states, _, closed = orbit(model, a.body, v, budget)
+            complete = complete and closed
+            todo += ((u, *rest) for u in reversed(states))
+        else:
+            raise TypeError(f"not an action: {a!r}")
+    return SuccessorSet(out, complete)
 
 
 def orbit(model: QuantumModel, action: sx.Action, w: np.ndarray,
@@ -182,29 +185,20 @@ def _preimage(sig: SignatureInstance, a: sx.Action, y: Subspace,
 def closed_extension(model: QuantumModel, s: sx.Sentence,
                      budget: StarBudget = StarBudget()) -> Subspace:
     """The subspace a closed sentence denotes in the model."""
-    s = sx.desugar(s)
-    if not classify_in(model.sig, s).is_closed:
-        raise SemanticsError(
-            f"not a closed sentence: {sx.format_sentence(s)}")
-    return _ext(model, s, budget)
+    s, sig = sx.desugar(s), model.sig
+    if not classify_in(sig, s).is_closed:
+        raise SemanticsError(f"not a closed sentence: {sx.format_sentence(s)}")
 
-def _ext(model: QuantumModel, s: sx.Sentence, budget: StarBudget) -> Subspace:
-    if isinstance(s, sx.Prop):
-        region = _region(model, s.name)
-        if not isinstance(region, Subspace):
-            raise SemanticsError(
-                f"closed proposition {s.name!r} has a non-subspace region")
-        return region
-    if isinstance(s, sx.QNot):
-        return hl.orthocomplement(_ext(model, s.body, budget))
-    if isinstance(s, sx.And):
-        return hl.intersect(_ext(model, s.left, budget),
-                            _ext(model, s.right, budget), tol=model.sig.tol)
-    if isinstance(s, sx.QImp):
-        return _ext(model, sx.sasaki_expansion(s.left, s.right), budget)
-    if isinstance(s, sx.Nec):
-        return _preimage(model.sig, s.action, _ext(model, s.body, budget), budget)
-    raise SemanticsError(f"not a closed sentence: {sx.format_sentence(s)}")
+    def prop(s, kids):
+        if isinstance(region := _region(model, s.name), Subspace):
+            return region
+        raise SemanticsError(f"closed proposition {s.name!r} has a non-subspace region")
+    meet, perp = partial(hl.intersect, tol=sig.tol), hl.orthocomplement
+    return sx.fold(s, {
+        sx.Prop: prop, sx.QNot: lambda s, kids: perp(kids[0]), sx.And: lambda s, kids: meet(*kids),
+        sx.QImp: lambda s, kids: perp(meet(kids[0], perp(meet(*kids)))),  # ~(l /\ ~(l /\ r))
+        sx.Nec: lambda s, kids: _preimage(sig, s.action, kids[0], budget),
+    }, sx.SENTENCE)
 
 
 # ------------------------------------------------------ pointwise evaluator
@@ -252,7 +246,7 @@ def _sat(model: QuantumModel, w: np.ndarray, s: sx.Sentence,
     # over non-closed sentences) and a star necessity in the closed fragment
     star = isinstance(s, sx.Nec) and sx.AStar in map(type, sx.walk(s.action, sx.ACTION))
     if isinstance(s, (sx.QNot, sx.QImp)) or star and classify_in(sig, s).is_closed:
-        return hl.member(_ext(model, s, budget), w, sig.tol)
+        return hl.member(closed_extension(model, s, budget), w, sig.tol)
     if isinstance(s, sx.Store):
         lit = sx.VecLit(tuple(complex(c) for c in w))
         return _sat(model, w, sx.substitute(s.body, s.var, lit), budget)
@@ -279,7 +273,7 @@ def global_sat(model: QuantumModel, s: sx.Sentence,
     """
     s = sx.desugar(s)
     if classify_in(model.sig, s).is_closed:
-        return _ext(model, s, budget).rank == model.sig.dim
+        return closed_extension(model, s, budget).rank == model.sig.dim
     if isinstance(s, sx.At):
         return sat_at(model, eval_term(model.sig, s.term), s.body, budget)
     if isinstance(s, sx.And):

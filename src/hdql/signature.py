@@ -109,8 +109,14 @@ def eval_term(sig: SignatureInstance, k: sx.Term) -> np.ndarray:
             raise DimensionMismatch(
                 f"literal of dim {v.shape[0]} in space of dim {sig.dim}")
         return v
-    if isinstance(k, sx.TSum):  # a sum or multiple can overflow: vector refuses it
-        return hl.vector(eval_term(sig, k.left) + eval_term(sig, k.right))
+    if isinstance(k, sx.TSum):  # a loop down the chain's left spine, then up its right operands
+        spine = [k]
+        while isinstance(spine[-1].left, sx.TSum):
+            spine.append(spine[-1].left)
+        v = eval_term(sig, spine[-1].left)
+        for node in reversed(spine):  # a sum or multiple can overflow: vector refuses it
+            v = hl.vector(v + eval_term(sig, node.right))
+        return v
     if isinstance(k, sx.TSmul):  # inf, or a product that overflows: vector refuses it, silently
         v = eval_term(sig, k.arg)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,4 @@
-"""The hand-written recursive traversals that ``walk`` and ``fold`` replaced.
+"""The hand-written recursive traversals that ``walk``, ``fold`` and work lists replaced.
 
 Kept as they were, with their imports adapted and ``is_unitary_action``
 inlined into ``classify``, as references for ``test_traversal.py`` and
@@ -8,9 +8,12 @@ character-by-character lexer. They recurse, so they only see shallow inputs.
 
 from __future__ import annotations
 
+from hdql import hilbert as hl
 from hdql import syntax as sx
-from hdql.semantics import SemanticsError
-from hdql.signature import classify_in
+from hdql.errors import DimensionMismatch
+from hdql.hilbert import Subspace
+from hdql.semantics import SemanticsError, SuccessorSet, _preimage, _region
+from hdql.signature import apply_symbol, classify_in
 from hdql.syntax import (AComp, And, ASym, AStar, AUnion, At, Here, Imp, Kind, Name, Nec,
                          Not, OPlus, Origin, Pos, Prop, QImp, QNot, Store, TApp, TSmul, TSum,
                          UntilS, Var, VecLit, _fresh, format_complex)
@@ -443,6 +446,73 @@ def _reject_nonclosed_quantum_ops(sig: SignatureInstance, s: sx.Sentence) -> Non
     elif isinstance(s, (sx.Not, sx.Nec, sx.Store, sx.At)):
         _reject_nonclosed_quantum_ops(sig, s.body)
 
+
+
+def successors(model, a: sx.Action, w, budget):
+    sig = model.sig
+    if w.shape[0] != sig.dim:
+        raise DimensionMismatch(f"state of dim {w.shape[0]} in space of dim {sig.dim}")
+    if isinstance(a, sx.ASym):
+        return SuccessorSet([apply_symbol(sig, a.name, w)])
+    if isinstance(a, sx.AComp):
+        first = successors(model, a.left, w, budget)
+        out, complete = [], first.complete
+        for v in first.vectors:
+            rest = successors(model, a.right, v, budget)
+            out.extend(rest.vectors)
+            complete = complete and rest.complete
+        return SuccessorSet(out, complete)
+    if isinstance(a, sx.AUnion):
+        left = successors(model, a.left, w, budget)
+        right = successors(model, a.right, w, budget)
+        return SuccessorSet(left.vectors + right.vectors,
+                            left.complete and right.complete)
+    if isinstance(a, sx.AStar):
+        states, _, complete = orbit(model, a.body, w, budget)
+        return SuccessorSet(states, complete)
+    raise TypeError(f"not an action: {a!r}")
+
+
+def orbit(model, action: sx.Action, w, budget):
+    seen = hl.VectorTable(model.sig.dim, model.sig.tol, [w])
+    start, complete = 0, True
+    for rounds in range(budget.max_iterations):
+        end = len(seen.rows)
+        for v in seen.rows[start:end]:
+            step = successors(model, action, v, budget)
+            complete = complete and step.complete
+            for s in step.vectors:
+                seen.find_or_add(s)
+        if len(seen.rows) == end or not complete:
+            return list(seen.rows), rounds, complete
+        start = end
+    return list(seen.rows), budget.max_iterations, False
+
+
+def closed_extension(model, s: sx.Sentence, budget) -> Subspace:
+    s = sx.desugar(s)
+    if not classify_in(model.sig, s).is_closed:
+        raise SemanticsError(
+            f"not a closed sentence: {sx.format_sentence(s)}")
+    return _ext(model, s, budget)
+
+def _ext(model, s: sx.Sentence, budget) -> Subspace:
+    if isinstance(s, sx.Prop):
+        region = _region(model, s.name)
+        if not isinstance(region, Subspace):
+            raise SemanticsError(
+                f"closed proposition {s.name!r} has a non-subspace region")
+        return region
+    if isinstance(s, sx.QNot):
+        return hl.orthocomplement(_ext(model, s.body, budget))
+    if isinstance(s, sx.And):
+        return hl.intersect(_ext(model, s.left, budget),
+                            _ext(model, s.right, budget), tol=model.sig.tol)
+    if isinstance(s, sx.QImp):
+        return _ext(model, sx.sasaki_expansion(s.left, s.right), budget)
+    if isinstance(s, sx.Nec):
+        return _preimage(model.sig, s.action, _ext(model, s.body, budget), budget)
+    raise SemanticsError(f"not a closed sentence: {sx.format_sentence(s)}")
 
 
 # ------------------------------------------------------------------ proofs

@@ -685,3 +685,62 @@ class TestNonFiniteMultiples:
              "--sentence", "p"], capture_output=True, text=True)
         assert (result.returncode, result.stderr) == (65, "")
         assert result.stdout == "cannot evaluate: state vector has non-finite entries\n"
+
+
+# the rotation of demos/rotation.hdql, a closed r and a plain p, both at v0 only
+ROTATION_VALUED = """\
+SPACE 2
+VECTORS
+  v0 = (1, 0)
+  v1 = (0, 1)
+UNITARY
+  g = [0.7071067811865476, -0.7071067811865476; 0.7071067811865476, 0.7071067811865476]
+PROPS
+  p
+  r closed
+VALUATION
+  r = span { v0 }
+  p = { v0 }
+"""
+TELEPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos",
+                        "teleport.hdql")
+
+
+def verdict_word(output: str) -> str:
+    return next(line for line in output.splitlines() if line.startswith("at ")).rsplit(" ", 1)[1]
+
+
+class TestDeepInputs:
+    """Inputs past Python's recursion limit get their shallow equivalents' verdicts."""
+
+    @pytest.mark.parametrize("deep, shallow", [
+        ("~ " * 3000 + "r", "~ ~ r"),
+        (" ~> ".join(["r"] * 2000), "r ~> r"),
+        ("[" + ";".join(["g"] * 3000) + "] p", "[g;g;g;g;g;g;g;g] p"),  # g has order 8
+        ("[" + "|".join(["g"] * 3000) + "] p", "[g] p"),
+    ], ids=["qnot", "sasaki", "composition", "union"])
+    def test_eval(self, tmp_path, deep, shallow):
+        path = tmp_path / "rotation.hdql"
+        path.write_text(ROTATION_VALUED)
+        (code, output), (_, want) = [run(["eval", str(path), "--at", "v0", "--sentence", s])
+                                     for s in (deep, shallow)]
+        assert code == 0 and verdict_word(output) == verdict_word(want)
+
+    def test_eval_at_a_sum_of_1000_summands(self):
+        (code, output), (_, want) = [
+            run(["eval", TELEPORT, "--at", " + ".join(["0.001*w0"] * n), "--sentence", "p"])
+            for n in (1000, 2)]
+        assert code == 0 and verdict_word(output) == verdict_word(want) == "false"
+
+    def test_eval_reports_an_orbit_beyond_the_star_bound(self, tmp_path):
+        path = tmp_path / "rotation.hdql"
+        path.write_text(ROTATION_VALUED)
+        code, output = run(["eval", str(path), "--at", "v0", "--sentence", "[g*] (p => p)",
+                            "--star-bound", "1"])
+        assert code == 2 and output.startswith("budget exhausted: "), output
+
+    def test_initial_reports_a_goal_beyond_the_star_bound(self, tmp_path):
+        path = tmp_path / "rotation.hdql"
+        path.write_text(ROTATION_VALUED + "GOAL AT v0 PROVE [g*] (p => p)\n")
+        code, output = run(["initial", str(path), "--star-bound", "1"])
+        assert code == 2 and "\ngoal 1: not decidable here: " in output, output

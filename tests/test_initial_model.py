@@ -105,6 +105,17 @@ class TestMinimality:
         with pytest.raises(PreconditionFailure):
             check_minimality(im, smaller, samples)
 
+    def test_a_model_missing_a_derived_fact_is_not_above_the_initial_one(self):
+        # p => [x] q is checked only at the sample v1, where p fails; the
+        # initial model derives q at x(v0), which is v1, and the other lacks it
+        sig = sg.SignatureInstance(dim=2, unitaries={"x": hl.X}, measurements={},
+                                   named_vectors={"v0": K0, "v1": K1},
+                                   props=frozenset({"p", "q"}), closed_props=frozenset())
+        im = build_initial(sig, [parse("@(v0) p"), parse("p => [x] q")], depth=2)
+        other = QuantumModel(sig, {"p": FiniteVectors((K0,)), "q": FiniteVectors(())})
+        assert holds(im, "q", Name("v1")) == "holds"
+        assert not check_minimality(im, other, [Name("v1")])
+
 
 def random_basic_clause(rng) -> sx.Sentence:
     """Shallow basic sentences anchored at named states."""

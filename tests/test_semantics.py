@@ -166,6 +166,11 @@ class TestGlobalSat:
         with pytest.raises(SemanticsError):
             sm.global_sat(qubit_model(), Prop("p"))
 
+    def test_conjunction_of_anchored_clauses_splits(self):
+        model = qubit_model(p_vectors=(K0,))
+        assert sm.global_sat(model, parse("@(v0) p /\\ @(x(v1)) p"))
+        assert not sm.global_sat(model, parse("@(v0) p /\\ @(v1) p"))
+
 
 class TestClosedAgreement:
     """Pointwise satisfaction of closed sentences matches their extension."""

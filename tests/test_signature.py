@@ -50,6 +50,13 @@ class TestEvalTerm:
         with pytest.raises(SymbolError):
             sg.eval_term(small_sig(), TApp("nope", Name("v0")))
 
+    def test_a_chain_of_sums_adds_its_operands_from_the_left(self):
+        # 1e16 + 1 rounds to 1e16, so only the order written gives exactly 0
+        assert np.array_equal(sg.eval_term(small_sig(), parse_term("1e16*v0 + v0 + -1e16*v0")),
+                              [0, 0])
+        chain = parse_term(" + ".join(["v0", "v1"] * 3000))  # past the recursion limit
+        assert np.array_equal(sg.eval_term(small_sig(), chain), [3000, 3000])
+
 
 
 class TestEvalMemo:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import reference_traversals as ref
+from gen import random_closed_sentence
 from hdql import hilbert as hl
 from hdql import semantics as sm
 from hdql import syntax as sx
@@ -232,6 +233,36 @@ class TestAgainstReferences:
         assert outcomes == {True, False}
 
 
+    def test_successors_in_path_order_with_the_same_flag(self, sig_pair):
+        sig = sig_pair[0]
+        model, budget = sm.QuantumModel(sig, {}), sm.StarBudget(max_iterations=3)
+        flags = set()
+        for a in ACTIONS:
+            for w in sig.named_vectors.values():
+                got, want = sm.successors(model, a, w, budget), ref.successors(model, a, w, budget)
+                assert got.complete == want.complete
+                assert len(got.vectors) == len(want.vectors)
+                assert all(np.array_equal(x, y) for x, y in zip(got.vectors, want.vectors))
+                flags.add(got.complete)
+        assert flags == {True, False}
+
+    def test_closed_extension_is_bit_for_bit_the_recursive_one(self, sig_pair):
+        sig = sig_pair[0]
+        rng = np.random.default_rng(31)
+        model = sm.QuantumModel(sig, {r: hl.random_subspace(2, rng) for r in sorted(CLOSED)})
+        closed = [s for s in SENTENCES if classify_in(sig, sx.desugar(s)).is_closed] + [
+            random_closed_sentence(rng, 4, sorted(CLOSED), ["u0", "u1"]) for _ in range(100)]
+        assert {QImp, OPlus, Nec, And, QNot} <= {type(n) for s in closed for n in sx.walk(s)}
+        budget = sm.StarBudget()
+        for s in closed:
+            got = sm.closed_extension(model, s, budget)
+            want = ref.closed_extension(model, s, budget)
+            assert got.dim == want.dim and np.array_equal(got.basis, want.basis)
+        wrong = sm.QuantumModel(sig, {"r": sm.FiniteVectors(())})
+        for closed_extension in (sm.closed_extension, ref.closed_extension):
+            with pytest.raises(SemanticsError, match="'r' has a non-subspace region"):
+                closed_extension(wrong, QImp(Prop("r'"), Prop("r")), budget)
+
     def test_printers_on_every_node(self):
         memo = {}  # one memo over the whole corpus, which keeps its nodes alive
         for x in TERMS + ACTIONS + SENTENCES:
@@ -414,3 +445,25 @@ class TestDepth:
         assert sx.format_term(t) == "u0(" * n + "w0" + ")" * n
         assert sx.format_action(a) == " ; ".join(["g"] * (n + 1))
         assert sx.format_sentence(s) == "[g] " * n + "p"
+
+    def test_closed_extension_and_successors(self, sig_pair):
+        sig = sig_pair[0]
+        w0 = sig.named_vectors["w0"]
+        model = sm.QuantumModel(sig, {"r": hl.orthonormalize([w0])})
+        neg, hook = Prop("r"), Prop("r")
+        for _ in range(DEPTH):
+            neg, hook = QNot(neg), QImp(Prop("r"), hook)
+        got = sm.closed_extension(model, neg)
+        assert np.allclose(hl.projector(got), hl.projector(model.valuation["r"]))
+        assert sm.closed_extension(model, hook).rank == 2
+        comp, union = ASym("u0"), ASym("u0")
+        for i in range(DEPTH):
+            comp, union = AComp(ASym("u0"), comp), AUnion(ASym(f"u{i % 2}"), union)
+        want = np.linalg.matrix_power(sig.unitaries["u0"], DEPTH + 1) @ w0
+        (got,) = sm.successors(model, comp, w0).vectors
+        assert np.allclose(got, want)
+        got = sm.successors(model, union, w0)
+        want = [sig.unitaries[f"u{i % 2}"] @ w0 for i in reversed(range(DEPTH))]
+        assert got.complete and len(got.vectors) == DEPTH + 1
+        want.append(sig.unitaries["u0"] @ w0)  # the innermost branch
+        assert all(np.array_equal(v, u) for v, u in zip(got.vectors, want))
